@@ -7,6 +7,8 @@ densities can be read additively (integrate) or possibilistically
 by argmax instead of sampling.  Everything is immutable and operations
 are pure; randomness only enters ``born_sample`` paths and is seeded per
 call.
+
+The names imported below are the public API.
 """
 
 from .fuzzy import (
@@ -18,7 +20,6 @@ from .fuzzy import (
     fuzzy_intersection,
     fuzzy_union,
     height,
-    height_grid,
     is_normalized,
     read_fuzzy_set,
     read_grid_csv,
@@ -30,8 +31,6 @@ from .integrals import (
     alpha_cut,
     alpha_cut_finite,
     grid_tolerance,
-    lebesgue_integral,
-    sugeno_bruteforce_oracle,
     sugeno_integral,
 )
 from .intervals import IntervalSet, union_all
@@ -55,12 +54,13 @@ from .localize import (
     realize_density,
 )
 from .measures import (
-    MeasureKind,
+    AdditiveMeasure,
     MeasureSpec,
+    PossibilityMeasure,
+    TableMeasure,
     check_additivity,
     check_possibility_union_axiom,
     measure_of,
-    normalize_to_possibility,
     read_table_measure,
     write_table_measure,
 )
@@ -80,78 +80,9 @@ from .qubits import (
     is_entangled,
     ket0,
     ket1,
-    make_fuzzy_state,
     parse_state_literal,
     random_qubit_state,
     tensor_product,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlphaCut",
-    "FiniteFuzzySet",
-    "FuzzyLanguage",
-    "FuzzyQubitState",
-    "GridFunction",
-    "IntervalSet",
-    "LocalizationReport",
-    "MeasureKind",
-    "MeasureSpec",
-    "QubitState",
-    "TNormKind",
-    "TwoQubitState",
-    "WavefunctionKind",
-    "WavefunctionSpec",
-    "alpha_cut",
-    "alpha_cut_finite",
-    "amplitude_determinant",
-    "apply_hadamard",
-    "apply_pauli_x",
-    "apply_pauli_z",
-    "apply_unitary",
-    "as_grade",
-    "bell_state",
-    "born_sample_many",
-    "check_additivity",
-    "check_possibility_union_axiom",
-    "defuzzify",
-    "fuzzify",
-    "fuzzy_complement",
-    "fuzzy_intersection",
-    "fuzzy_union",
-    "grid_tolerance",
-    "height",
-    "height_grid",
-    "is_entangled",
-    "is_normalized",
-    "ket0",
-    "ket1",
-    "language_complement",
-    "language_from_table",
-    "language_intersection",
-    "language_union",
-    "lebesgue_integral",
-    "localization_sweep",
-    "localize",
-    "make_fuzzy_state",
-    "measure_of",
-    "normalize_to_possibility",
-    "parse_state_literal",
-    "random_qubit_state",
-    "read_fuzzy_set",
-    "read_grade_table",
-    "read_grid_csv",
-    "read_table_measure",
-    "realize_density",
-    "sugeno_bruteforce_oracle",
-    "sugeno_integral",
-    "tensor_product",
-    "union_all",
-    "write_fuzzy_set",
-    "write_grade_table",
-    "write_grid_csv",
-    "write_table_measure",
-    "zeros_then_ones_grade",
-    "zeros_then_ones_language",
-]

@@ -26,12 +26,12 @@ from .fuzzy import (
     write_fuzzy_set,
     write_grid_csv,
 )
-from .integrals import grid_tolerance, lebesgue_integral, sugeno_integral
+from .integrals import grid_tolerance, sugeno_integral
 from .intervals import IntervalSet
 from .language import read_grade_table, zeros_then_ones_language
 from .localize import WavefunctionSpec, localize, localization_sweep, realize_density
 from .measures import (
-    MeasureKind,
+    AdditiveMeasure,
     MeasureSpec,
     check_additivity,
     check_possibility_union_axiom,
@@ -53,7 +53,6 @@ from .qubits import (
     is_entangled,
     ket0,
     ket1,
-    make_fuzzy_state,
     parse_state_literal,
     tensor_product,
 )
@@ -95,11 +94,12 @@ def _parse_kv(body: str) -> dict[str, str]:
         return kv
     for item in body.split(","):
         key, sep, value = item.partition("=")
+        key = key.strip()
         if not sep or not key:
             raise ValueError(f"expected key=value, got {item!r}")
         if key in kv:
             raise ValueError(f"duplicate key {key!r}")
-        kv[key.strip()] = value.strip()
+        kv[key] = value.strip()
     return kv
 
 
@@ -241,10 +241,11 @@ def _cmd_measure_eval(args) -> int:
     m = load_measure(args.measure)
     event = _event_from_args(args)
     emit("measure", measure_of(m, event))
-    if m.kind is MeasureKind.ADDITIVE_DENSITY:
+    payload = getattr(m, "distribution", None)
+    if isinstance(m, AdditiveMeasure):
         emit("normalized", m.is_normalized)
+        payload = m.density
     if args.csv:
-        payload = m.density if m.density is not None else m.distribution
         if not isinstance(payload, GridFunction):
             raise ValueError("--csv needs a measure with a grid payload")
         write_grid_csv(payload, args.csv)
@@ -266,7 +267,7 @@ def _cmd_integrate(args) -> int:
     if args.method == "lebesgue":
         f = read_grid_csv(args.density)
         lo, hi = parse_interval(args.interval)
-        emit("integral", lebesgue_integral(f, IntervalSet.interval(lo, hi)))
+        emit("integral", f.integral_over(IntervalSet.interval(lo, hi)))
         if args.csv:
             write_grid_csv(f, args.csv)
         return 0
@@ -347,7 +348,7 @@ def _cmd_qubit(args) -> int:
             raise ValueError("gates act on amplitudes, not fuzzy states")
         mu0, mu1 = parse_interval(args.fuzzy)
         state = None
-        fuzzy_state = make_fuzzy_state(mu0, mu1)
+        fuzzy_state = FuzzyQubitState(mu0, mu1)
     else:
         state = _apply_gates(_parse_init(args.init or "0"), args.gate or [])
         fuzzy_state = fuzzify(state)

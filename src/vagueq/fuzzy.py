@@ -286,11 +286,6 @@ class GridFunction:
         return GridFunction(self.x_min, self.x_max, self.samples / top)
 
 
-def height_grid(f: GridFunction) -> float:
-    """Largest sampled value of a grid function."""
-    return float(f.samples.max())
-
-
 # --- plain-text formats ----------------------------------------------------
 
 def write_fuzzy_set(fs: FiniteFuzzySet, path) -> None:
@@ -347,8 +342,14 @@ def read_grid_csv(path) -> GridFunction:
             parts = text.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'x,value'")
-            xs.append(float(parts[0]))
-            vs.append(float(parts[1]))
+            try:
+                x, v = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: cannot parse number in {text!r}"
+                ) from None
+            xs.append(x)
+            vs.append(v)
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least 2 rows")
     x = np.array(xs)

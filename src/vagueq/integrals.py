@@ -1,4 +1,4 @@
-"""Level sets, Lebesgue integration, and the Sugeno integral.
+"""Level sets and the Sugeno integral.
 
 The Sugeno integral of f over a with respect to a monotone measure mu is
 
@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .fuzzy import FiniteFuzzySet, GridFunction, height_grid
+from .fuzzy import FiniteFuzzySet, GridFunction
 from .intervals import IntervalSet
-from .measures import MeasureKind, MeasureSpec, measure_of
+from .measures import MeasureSpec, label_subset, measure_of
 
 BISECTION_TOL = 1e-10
-MAX_ORACLE_UNIVERSE = 16
 
 
 @dataclass(frozen=True)
@@ -89,13 +87,6 @@ def alpha_cut_finite(
     return AlphaCut(alpha, keep, strict)
 
 
-def lebesgue_integral(f: GridFunction, a: IntervalSet) -> float:
-    """Integral of f over an interval set by composite trapezoid rule,
-    with linear interpolation at interval endpoints that fall inside
-    grid cells."""
-    return f.integral_over(a)
-
-
 def grid_tolerance(f: GridFunction) -> float:
     """Declared accuracy of level-set geometry on this grid.
 
@@ -108,51 +99,30 @@ def grid_tolerance(f: GridFunction) -> float:
 
 
 def _sugeno_finite(f: FiniteFuzzySet, a, m: MeasureSpec) -> float:
-    if m.kind is MeasureKind.POSSIBILISTIC:
-        if not isinstance(m.distribution, FiniteFuzzySet):
-            raise ValueError("measure domain mismatch: expected a finite measure")
-        m_universe = set(m.distribution.universe)
-    elif m.kind is MeasureKind.TABLE:
-        m_universe = set(m.universe)
-    else:
-        raise ValueError(
-            "finite Sugeno integration needs a finite (possibilistic or table) measure"
-        )
-    if set(f.universe) != m_universe:
-        raise ValueError("domain mismatch: f and the measure use different universes")
     if a is None:
-        labels = list(f.universe)
+        idx = np.arange(len(f.universe))
     else:
-        subset = frozenset(str(x) for x in a)
-        foreign = subset - set(f.universe)
-        if foreign:
-            raise ValueError(
-                f"subset contains labels outside the domain: {sorted(foreign)}"
-            )
-        labels = [l for l in f.universe if l in subset]
-    if not labels:
+        subset = label_subset(f.universe, a)
+        idx = np.array([k for k, l in enumerate(f.universe) if l in subset], dtype=int)
+    # sorted-value evaluation: with f's values taken downward, the top-sets
+    # grow one label at a time and the integral is the best
+    # min(value, mu(top-set)); a stable sort keeps ties in universe order
+    order = idx[np.argsort(-f.grades[idx], kind="stable")]
+    values = m._prefix_values(f.universe, [f.universe[k] for k in order])
+    if not order.size:
         return 0.0
-    # classic sorted-value evaluation: walk values downward, growing the
-    # top-set, and keep the best min(value, mu(top-set))
-    order = sorted(labels, key=f.grade_of, reverse=True)
-    best = 0.0
-    top: list[str] = []
-    for label in order:
-        top.append(label)
-        best = max(best, min(f.grade_of(label), measure_of(m, top)))
-    return best
+    return float(np.max(np.minimum(f.grades[order], values)))
 
 
 def _sugeno_grid(f: GridFunction, a: IntervalSet, m: MeasureSpec) -> float:
-    if m.kind is MeasureKind.TABLE or isinstance(m.distribution, FiniteFuzzySet):
-        raise ValueError("measure domain mismatch: expected a grid measure")
+    m._event(a)  # a finite measure rejects interval events, before any early return
     f._check_intervals(a)
 
     def g(alpha: float) -> float:
         cut = alpha_cut(f, alpha).cut
         return measure_of(m, cut.intersection(a))
 
-    top = height_grid(f)
+    top = float(f.samples.max())
     if top <= 0.0 or a.is_empty:
         return 0.0
 
@@ -203,48 +173,3 @@ def sugeno_integral(f, a, m: MeasureSpec) -> float:
             raise ValueError("grid Sugeno integration takes an IntervalSet event")
         return _sugeno_grid(f, a, m)
     raise ValueError("f must be a FiniteFuzzySet or GridFunction")
-
-
-def sugeno_bruteforce_oracle(
-    f: FiniteFuzzySet, a, m: MeasureSpec, grid: int = 100001
-) -> float:
-    """Direct evaluation of sup min(alpha, mu(a intersect {f >= alpha}))
-    on a dense uniform alpha grid over [0, max f].
-
-    Deliberately naive: no sorting, no crossing argument.  Off by at most
-    one grid spacing from the true supremum, it exists to cross-check
-    ``sugeno_integral`` on small universes (at most 16 elements).
-    """
-    if len(f.universe) > MAX_ORACLE_UNIVERSE:
-        raise ValueError(
-            f"oracle supports at most {MAX_ORACLE_UNIVERSE} elements"
-        )
-    if grid < 2:
-        raise ValueError("grid must have at least 2 levels")
-    if a is None:
-        a_mask = np.ones(len(f.universe), dtype=bool)
-    else:
-        subset = frozenset(str(x) for x in a)
-        foreign = subset - set(f.universe)
-        if foreign:
-            raise ValueError(
-                f"subset contains labels outside the domain: {sorted(foreign)}"
-            )
-        a_mask = np.array([l in subset for l in f.universe])
-    alphas = np.linspace(0.0, float(f.grades.max()), int(grid))
-    ids = np.zeros(alphas.size, dtype=np.int64)
-    for k in range(len(f.universe)):
-        if a_mask[k]:
-            ids |= (f.grades[k] >= alphas).astype(np.int64) << k
-    uniq, inverse = np.unique(ids, return_inverse=True)
-    mu_uniq = np.array(
-        [
-            measure_of(
-                m,
-                [f.universe[k] for k in range(len(f.universe)) if uid & (1 << k)],
-            )
-            for uid in uniq
-        ]
-    )
-    mu = mu_uniq[inverse]
-    return float(np.max(np.minimum(alphas, mu)))

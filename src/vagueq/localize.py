@@ -19,9 +19,9 @@ from enum import Enum
 import numpy as np
 
 from .fuzzy import GridFunction
-from .integrals import grid_tolerance, lebesgue_integral, sugeno_integral
+from .integrals import grid_tolerance, sugeno_integral
 from .intervals import IntervalSet
-from .measures import MeasureSpec, measure_of, normalize_to_possibility
+from .measures import MeasureSpec, measure_of
 from .render import format_value
 
 DEFAULT_GRID_POINTS = 10001
@@ -186,9 +186,9 @@ def localize(
             f"[{density.x_min}, {density.x_max}]"
         )
     window = IntervalSet.interval(a, b)
-    probability = lebesgue_integral(density, window)
-    density_norm = lebesgue_integral(density, density.full_span())
-    pi = normalize_to_possibility(density)
+    probability = density.integral_over(window)
+    density_norm = density.integral_over(density.full_span())
+    pi = density.scaled_by_max()
     pi_measure = MeasureSpec.possibilistic(pi)
     possibility = measure_of(pi_measure, window)
     possibility_sugeno = sugeno_integral(pi, window, pi_measure)
@@ -224,7 +224,7 @@ def localization_sweep(
             f"interval [{a}, {b}) outside the domain "
             f"[{density.x_min}, {density.x_max}]"
         )
-    pi = normalize_to_possibility(density)
+    pi = density.scaled_by_max()
     pi_measure = MeasureSpec.possibilistic(pi)
     rows = []
     for x in np.linspace(a, b, steps + 1)[1:]:
@@ -233,7 +233,7 @@ def localization_sweep(
             (
                 a,
                 float(x),
-                lebesgue_integral(density, window),
+                density.integral_over(window),
                 measure_of(pi_measure, window),
             )
         )

@@ -4,97 +4,77 @@ A measure here is any set function with mu(empty) = 0 that is monotone
 under inclusion.  Additive measures integrate a sampled density;
 possibilistic measures take the supremum of a distribution whose global
 sup is 1; table measures enumerate every subset of a small finite
-universe explicitly.
+universe explicitly.  Each kind is its own small type that owns its
+behaviour; ``measure_of`` and ``sugeno_integral`` are the public entry
+points to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .fuzzy import FiniteFuzzySet, GridFunction, height, height_grid
+from .fuzzy import FiniteFuzzySet, GridFunction, height
 from .intervals import IntervalSet, union_all
 
 MAX_TABLE_UNIVERSE = 12
 
 
-class MeasureKind(Enum):
-    ADDITIVE_DENSITY = "additive_density"
-    POSSIBILISTIC = "possibilistic"
-    TABLE = "table"
+def _interval_event(a) -> IntervalSet:
+    if not isinstance(a, IntervalSet):
+        raise ValueError("measure domain mismatch: label subsets need a finite measure")
+    return a
 
 
-@dataclass(frozen=True, eq=False)
+def label_subset(universe: tuple[str, ...], a) -> frozenset:
+    """The labels of ``a`` as a frozenset, all of them drawn from ``universe``."""
+    if isinstance(a, IntervalSet):
+        raise ValueError("measure domain mismatch: interval sets need a grid measure")
+    subset = frozenset(str(x) for x in a)
+    foreign = subset - frozenset(universe)
+    if foreign:
+        raise ValueError(f"subset contains labels outside the domain: {sorted(foreign)}")
+    return subset
+
+
+def _require_universe(mine: tuple[str, ...], theirs: tuple[str, ...]) -> None:
+    if set(mine) != set(theirs):
+        raise ValueError("domain mismatch: f and the measure use different universes")
+
+
 class MeasureSpec:
-    """One monotone measure, built through the three factory methods.
+    """Base of the measure types, built through the three factory methods.
 
-    ``additive`` wraps a sampled density; the density's integral over its
-    grid is recorded in ``norm`` and ``is_normalized`` reports whether it
-    is 1 within 1e-6.  Unnormalized densities are accepted and flagged,
-    never silently rescaled.
+    ``additive`` wraps a sampled density (an ``AdditiveMeasure``).
+    ``possibilistic`` wraps a possibility distribution, grid or finite
+    (a ``PossibilityMeasure``).  ``from_table`` takes an explicit, total
+    map from subsets of a small finite universe to values (a
+    ``TableMeasure``).
 
-    ``possibilistic`` wraps a possibility distribution (grid or finite)
-    whose supremum must be 1 within 1e-9; events are measured by sup.
-
-    ``from_table`` takes an explicit, total map from subsets of a small
-    finite universe to values, validated exhaustively for the axioms
-    mu(empty) = 0, mu(universe) = 1, and monotonicity under inclusion.
+    Each type answers ``_event`` (check an event against its domain),
+    ``_measure`` (its value on an event) and, on a finite universe,
+    ``_prefix_values`` (its values on the growing top-sets that the
+    sorted-value Sugeno integral walks).
     """
 
-    kind: MeasureKind
-    density: GridFunction | None = None
-    distribution: GridFunction | FiniteFuzzySet | None = None
-    table: Mapping[frozenset, float] | None = None
-    universe: tuple[str, ...] | None = None
-    norm: float | None = None
-
-    @property
-    def is_normalized(self) -> bool:
-        if self.kind is not MeasureKind.ADDITIVE_DENSITY:
-            return True
-        return abs(self.norm - 1.0) <= 1e-6
-
     @classmethod
-    def additive(cls, density: GridFunction) -> "MeasureSpec":
-        norm = density.integral_over(density.full_span())
-        return cls(MeasureKind.ADDITIVE_DENSITY, density=density, norm=norm)
+    def additive(cls, density: GridFunction) -> "AdditiveMeasure":
+        return AdditiveMeasure(density)
 
     @classmethod
     def possibilistic(
         cls, distribution: GridFunction | FiniteFuzzySet
-    ) -> "MeasureSpec":
-        if isinstance(distribution, GridFunction):
-            sup = height_grid(distribution)
-        elif isinstance(distribution, FiniteFuzzySet):
-            sup = height(distribution)
-        else:
-            raise ValueError(
-                "distribution must be a GridFunction or FiniteFuzzySet"
-            )
-        if abs(sup - 1.0) > 1e-9:
-            raise ValueError(
-                f"possibility distribution must have supremum 1, got {sup}"
-            )
-        return cls(MeasureKind.POSSIBILISTIC, distribution=distribution)
+    ) -> "PossibilityMeasure":
+        return PossibilityMeasure(distribution)
 
     @classmethod
     def from_table(
         cls, universe: Iterable[str], table: Mapping[Iterable[str], float]
-    ) -> "MeasureSpec":
+    ) -> "TableMeasure":
         labels = tuple(str(x) for x in universe)
-        if not labels:
-            raise ValueError("table universe must be non-empty")
-        if len(set(labels)) != len(labels):
-            raise ValueError("table universe labels must be unique")
-        if len(labels) > MAX_TABLE_UNIVERSE:
-            raise ValueError(
-                f"table measures support at most {MAX_TABLE_UNIVERSE} elements, "
-                f"got {len(labels)}"
-            )
         label_set = frozenset(labels)
         canon: dict[frozenset, float] = {}
         for key, value in table.items():
@@ -108,6 +88,119 @@ class MeasureSpec:
             if math.isnan(v) or v < 0.0:
                 raise ValueError(f"table value for {sorted(subset)} must be >= 0")
             canon[subset] = v
+        return TableMeasure(labels, canon)
+
+    def _prefix_values(self, universe: tuple[str, ...], labels: list[str]):
+        """mu({labels[0], ..., labels[k]}) for every k; ``universe`` is the
+        integrand's, which must hold the same labels as the measure's."""
+        raise ValueError(
+            "finite Sugeno integration needs a finite (possibilistic or table) measure"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class AdditiveMeasure(MeasureSpec):
+    """mu(A) = integral of a sampled density over A.
+
+    The density's integral over its grid is recorded in ``norm`` and
+    ``is_normalized`` reports whether it is 1 within 1e-6.  Unnormalized
+    densities are accepted and flagged, never silently rescaled.
+    """
+
+    density: GridFunction
+    norm: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "norm", self.density.integral_over(self.density.full_span())
+        )
+
+    @property
+    def is_normalized(self) -> bool:
+        return abs(self.norm - 1.0) <= 1e-6
+
+    def _event(self, a) -> IntervalSet:
+        return _interval_event(a)
+
+    def _measure(self, a) -> float:
+        return self.density.integral_over(self._event(a))
+
+
+@dataclass(frozen=True, eq=False)
+class PossibilityMeasure(MeasureSpec):
+    """Pi(A) = sup of a possibility distribution over A.
+
+    The distribution (grid or finite) must have supremum 1 within 1e-9.
+    Grid samples above 1 by that slack are clamped to 1, so no event is
+    ever more than fully possible.
+    """
+
+    distribution: GridFunction | FiniteFuzzySet
+
+    def __post_init__(self) -> None:
+        d = self.distribution
+        if isinstance(d, GridFunction):
+            sup = float(d.samples.max())
+        elif isinstance(d, FiniteFuzzySet):
+            sup = height(d)
+        else:
+            raise ValueError(
+                "distribution must be a GridFunction or FiniteFuzzySet"
+            )
+        if abs(sup - 1.0) > 1e-9:
+            raise ValueError(
+                f"possibility distribution must have supremum 1, got {sup}"
+            )
+        if sup > 1.0:  # a grid: finite grades are already clamped to [0, 1]
+            clamped = GridFunction(d.x_min, d.x_max, np.minimum(d.samples, 1.0))
+            object.__setattr__(self, "distribution", clamped)
+
+    def _event(self, a) -> IntervalSet | frozenset:
+        d = self.distribution
+        if isinstance(d, GridFunction):
+            return _interval_event(a)
+        return label_subset(d.universe, a)
+
+    def _measure(self, a) -> float:
+        event = self._event(a)
+        if isinstance(event, IntervalSet):
+            return self.distribution.max_over(event)
+        return max((self.distribution.grade_of(l) for l in event), default=0.0)
+
+    def _prefix_values(self, universe: tuple[str, ...], labels: list[str]):
+        d = self.distribution
+        if not isinstance(d, FiniteFuzzySet):
+            return super()._prefix_values(universe, labels)
+        _require_universe(d.universe, universe)
+        # each prefix is measured on its own, O(n^3) in all since grade_of
+        # scans the universe; the running max np.maximum.accumulate(pi[order])
+        # is the O(n) form (ROADMAP item 2)
+        return [measure_of(self, labels[: k + 1]) for k in range(len(labels))]
+
+
+@dataclass(frozen=True, eq=False)
+class TableMeasure(MeasureSpec):
+    """mu given subset by subset over a small finite universe.
+
+    The table must be total over ``universe`` (at most 12 labels), with
+    mu(empty) = 0, mu(universe) = 1 and monotonicity under inclusion;
+    all three are checked exhaustively on construction.
+    """
+
+    universe: tuple[str, ...]
+    table: Mapping[frozenset, float]
+
+    def __post_init__(self) -> None:
+        labels, canon = self.universe, self.table
+        if not labels:
+            raise ValueError("table universe must be non-empty")
+        if len(set(labels)) != len(labels):
+            raise ValueError("table universe labels must be unique")
+        if len(labels) > MAX_TABLE_UNIVERSE:
+            raise ValueError(
+                f"table measures support at most {MAX_TABLE_UNIVERSE} elements, "
+                f"got {len(labels)}"
+            )
         if len(canon) != 2 ** len(labels):
             raise ValueError(
                 f"table must be total: expected {2 ** len(labels)} subsets, "
@@ -115,7 +208,7 @@ class MeasureSpec:
             )
         if abs(canon[frozenset()]) > 1e-12:
             raise ValueError("table must assign 0 to the empty subset")
-        if abs(canon[label_set] - 1.0) > 1e-12:
+        if abs(canon[frozenset(labels)] - 1.0) > 1e-12:
             raise ValueError("table must assign 1 to the whole universe")
         # removing one element can never increase the value; by chaining,
         # this check covers every nested pair
@@ -127,47 +220,22 @@ class MeasureSpec:
                         f"table is not monotone: mu({sorted(subset - {e})}) = "
                         f"{smaller} exceeds mu({sorted(subset)}) = {value}"
                     )
-        return cls(MeasureKind.TABLE, table=canon, universe=labels)
 
+    def _event(self, a) -> frozenset:
+        return label_subset(self.universe, a)
 
-def _as_label_subset(m: MeasureSpec, a: Iterable[str], universe) -> frozenset:
-    subset = frozenset(str(x) for x in a)
-    foreign = subset - frozenset(universe)
-    if foreign:
-        raise ValueError(f"subset contains labels outside the domain: {sorted(foreign)}")
-    return subset
+    def _measure(self, a) -> float:
+        return self.table[self._event(a)]
+
+    def _prefix_values(self, universe: tuple[str, ...], labels: list[str]):
+        _require_universe(self.universe, universe)
+        return [self.table[frozenset(labels[: k + 1])] for k in range(len(labels))]
 
 
 def measure_of(m: MeasureSpec, a) -> float:
     """Measure of an event: an IntervalSet (grid measures) or an iterable
     of labels (finite measures)."""
-    if m.kind is MeasureKind.ADDITIVE_DENSITY:
-        if not isinstance(a, IntervalSet):
-            raise ValueError("additive measures act on interval sets")
-        return m.density.integral_over(a)
-    if m.kind is MeasureKind.POSSIBILISTIC:
-        if isinstance(m.distribution, GridFunction):
-            if not isinstance(a, IntervalSet):
-                raise ValueError(
-                    "this possibilistic measure acts on interval sets"
-                )
-            return m.distribution.max_over(a)
-        if isinstance(a, IntervalSet):
-            raise ValueError("this possibilistic measure acts on label subsets")
-        subset = _as_label_subset(m, a, m.distribution.universe)
-        if not subset:
-            return 0.0
-        return max(m.distribution.grade_of(label) for label in subset)
-    # table
-    if isinstance(a, IntervalSet):
-        raise ValueError("table measures act on label subsets")
-    subset = _as_label_subset(m, a, m.universe)
-    try:
-        return m.table[subset]
-    except KeyError:
-        raise ValueError(
-            f"table has no entry for {sorted(subset)}; tables must be total"
-        ) from None
+    return m._measure(a)
 
 
 def check_possibility_union_axiom(
@@ -178,7 +246,7 @@ def check_possibility_union_axiom(
     Only meaningful for possibilistic measures; the union of no parts is
     empty and both sides are 0.
     """
-    if m.kind is not MeasureKind.POSSIBILISTIC:
+    if not isinstance(m, PossibilityMeasure):
         raise ValueError("union axiom check applies to possibilistic measures")
     parts = list(parts)
     whole = measure_of(m, union_all(parts))
@@ -190,7 +258,7 @@ def check_additivity(
     m: MeasureSpec, parts: Iterable[IntervalSet], tol: float = 1e-9
 ) -> bool:
     """Does mu(union of parts) equal the sum over pairwise-disjoint parts?"""
-    if m.kind is not MeasureKind.ADDITIVE_DENSITY:
+    if not isinstance(m, AdditiveMeasure):
         raise ValueError("additivity check applies to additive measures")
     parts = list(parts)
     for i in range(len(parts)):
@@ -202,16 +270,11 @@ def check_additivity(
     return abs(whole - total) <= tol
 
 
-def normalize_to_possibility(f: GridFunction) -> GridFunction:
-    """Rescale a non-negative grid function so its supremum is exactly 1."""
-    return f.scaled_by_max()
-
-
 # --- table text format -----------------------------------------------------
 
 def write_table_measure(m: MeasureSpec, path) -> None:
     """Write ``e1|e2|...,value`` lines, one subset per line; {} is empty."""
-    if m.kind is not MeasureKind.TABLE:
+    if not isinstance(m, TableMeasure):
         raise ValueError("only table measures have a table text form")
     order = {label: i for i, label in enumerate(m.universe)}
     with open(path, "w", encoding="utf-8") as fh:
@@ -245,7 +308,12 @@ def read_table_measure(path) -> MeasureSpec:
             )
             if subset and any(not x for x in subset):
                 raise ValueError(f"{path}:{lineno}: empty label in subset")
-            entries.append((subset, float(value)))
+            try:
+                entries.append((subset, float(value)))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: cannot parse value {value!r}"
+                ) from None
             labels |= subset
     table = dict(entries)
     if len(table) != len(entries):

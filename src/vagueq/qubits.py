@@ -85,11 +85,6 @@ def ket1() -> QubitState:
     return QubitState(0.0, 1.0)
 
 
-def make_fuzzy_state(mu0: float, mu1: float) -> FuzzyQubitState:
-    """Fuzzy state from explicit grades; each must lie in [0, 1]."""
-    return FuzzyQubitState(mu0, mu1)
-
-
 def fuzzify(s: QubitState) -> FuzzyQubitState:
     """Squared amplitude magnitudes read as membership grades."""
     return FuzzyQubitState(min(abs(s.a0) ** 2, 1.0), min(abs(s.a1) ** 2, 1.0))

@@ -36,16 +36,15 @@ from vagueq import (
     ket0,
     ket1,
     localize,
-    make_fuzzy_state,
     measure_of,
-    normalize_to_possibility,
     random_qubit_state,
     realize_density,
-    sugeno_bruteforce_oracle,
     sugeno_integral,
     tensor_product,
     zeros_then_ones_language,
 )
+
+from oracles import sugeno_bruteforce_oracle
 
 ERF_ONE_SIGMA = 0.6826894921370859  # erf(1 / sqrt(2))
 
@@ -75,7 +74,7 @@ def test_accept_01_gaussian_localization():
 
 def test_accept_02_plausible_event_law():
     density = realize_density(WavefunctionSpec.gaussian(0.0, 1.0))
-    pi = normalize_to_possibility(density)
+    pi = density.scaled_by_max()
     m = MeasureSpec.possibilistic(pi)
     rng = np.random.default_rng(20250819)
     worst = 0.0
@@ -142,9 +141,7 @@ def test_accept_03_sugeno_oracle_equivalence():
 
 
 def test_accept_04_sugeno_fixed_point():
-    pi = normalize_to_possibility(
-        realize_density(WavefunctionSpec.gaussian(0.0, 1.0))
-    )
+    pi = realize_density(WavefunctionSpec.gaussian(0.0, 1.0)).scaled_by_max()
     m = MeasureSpec.possibilistic(pi)
     tol = grid_tolerance(pi)
     rng = np.random.default_rng(271828)
@@ -167,7 +164,7 @@ def test_accept_04_sugeno_fixed_point():
 
 def test_accept_05_measure_axioms():
     density = standard_normal_grid(2001)
-    pi = normalize_to_possibility(density)
+    pi = density.scaled_by_max()
     poss = MeasureSpec.possibilistic(pi)
     add = MeasureSpec.additive(standard_normal_grid())
     rng = np.random.default_rng(161803)
@@ -270,7 +267,7 @@ def test_accept_07_entanglement_detector():
 
 
 def test_accept_08_born_sampling():
-    outcomes = born_sample_many(make_fuzzy_state(0.5, 0.5), 100000, seed=0)
+    outcomes = born_sample_many(FuzzyQubitState(0.5, 0.5), 100000, seed=0)
     freq0 = float(np.mean(outcomes == 0))
     assert 0.494 <= freq0 <= 0.506, f"frequency of outcome 0 was {freq0}"
     report("born sampling", f"100000 seeded draws, frequency of 0 = {freq0:.5f}")

@@ -593,6 +593,20 @@ def test_domain_errors_exit_1(capsys):
     assert "\n" == err[-1] and err.count("\n") == 1
 
 
+def test_duplicate_spec_keys_exit_1(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "localize",
+        "--wavefunction",
+        "gaussian:mu=1, mu=2",
+        "--interval",
+        "-1,1",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "duplicate key 'mu'" in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_spec_kinds_exit_1(capsys):
     code, _, err = run_cli(
         capsys,

@@ -15,7 +15,6 @@ from vagueq import (
     fuzzy_intersection,
     fuzzy_union,
     height,
-    height_grid,
     is_normalized,
     read_fuzzy_set,
     read_grid_csv,
@@ -187,7 +186,7 @@ def test_grid_function_validation():
 def test_grid_height_of_gaussian_samples_is_one():
     xs = np.linspace(-8.0, 8.0, 10001)
     f = GridFunction(-8.0, 8.0, np.exp(-0.5 * xs * xs))
-    assert abs(height_grid(f) - 1.0) <= 1e-12
+    assert abs(float(f.samples.max()) - 1.0) <= 1e-12
 
 
 def test_value_at_interpolates_linearly():
@@ -252,4 +251,11 @@ def test_grid_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("a,b\n0.0,1.0\n1.0,1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
+        read_grid_csv(path)
+
+
+def test_grid_csv_names_the_line_of_an_unparsable_number(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("x,value\n0.0,1.0\n1.0,abc\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"grid\.csv:3: cannot parse"):
         read_grid_csv(path)

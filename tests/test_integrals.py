@@ -13,12 +13,11 @@ from vagueq import (
     alpha_cut,
     alpha_cut_finite,
     grid_tolerance,
-    lebesgue_integral,
     measure_of,
-    normalize_to_possibility,
-    sugeno_bruteforce_oracle,
     sugeno_integral,
 )
+
+from oracles import sugeno_bruteforce_oracle
 
 
 def triangle() -> GridFunction:
@@ -84,12 +83,12 @@ def test_finite_cut_thresholds_grades():
 
 def test_constant_function_integrates_exactly():
     ones = GridFunction(0.0, 1.0, np.ones(101))
-    assert lebesgue_integral(ones, IntervalSet.interval(0.0, 1.0)) == 1.0
-    assert lebesgue_integral(ones, IntervalSet.empty()) == 0.0
+    assert ones.integral_over(IntervalSet.interval(0.0, 1.0)) == 1.0
+    assert ones.integral_over(IntervalSet.empty()) == 0.0
 
 
 def test_normal_mass_on_central_interval():
-    mass = lebesgue_integral(normal_density(), IntervalSet.interval(-1.0, 1.0))
+    mass = normal_density().integral_over(IntervalSet.interval(-1.0, 1.0))
     assert abs(mass - math.erf(1.0 / math.sqrt(2.0))) <= 1e-4
 
 
@@ -102,15 +101,15 @@ def test_additive_over_disjoint_interval_sets():
         right = IntervalSet.interval(b[2], b[3])
         both = IntervalSet.from_pairs([(b[0], b[1]), (b[2], b[3])])
         assert abs(
-            lebesgue_integral(f, both)
-            - lebesgue_integral(f, left)
-            - lebesgue_integral(f, right)
+            f.integral_over(both)
+            - f.integral_over(left)
+            - f.integral_over(right)
         ) <= 1e-12
 
 
 def test_interval_outside_span_is_an_error():
     with pytest.raises(ValueError, match="span"):
-        lebesgue_integral(triangle(), IntervalSet.interval(1.0, 3.0))
+        triangle().integral_over(IntervalSet.interval(1.0, 3.0))
 
 
 def test_quadrature_error_shrinks_at_second_order():
@@ -121,7 +120,7 @@ def test_quadrature_error_shrinks_at_second_order():
     for n in (51, 101, 201):
         xs = np.linspace(-1.0, 2.0, n)
         f = GridFunction(-1.0, 2.0, np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi))
-        errors.append(abs(lebesgue_integral(f, f.full_span()) - exact))
+        errors.append(abs(f.integral_over(f.full_span()) - exact))
     for coarse, fine in zip(errors, errors[1:]):
         order = math.log2(coarse / fine)
         assert 1.8 <= order <= 2.2
@@ -299,7 +298,7 @@ def test_bounded_by_sup_and_measure():
 # --- Sugeno integral, grid path -------------------------------------------------
 
 def test_grid_self_integration_fixed_point():
-    pi = normalize_to_possibility(normal_density())
+    pi = normal_density().scaled_by_max()
     m = MeasureSpec.possibilistic(pi)
     # the full span has possibility exactly 1
     full = pi.full_span()
@@ -311,7 +310,7 @@ def test_grid_self_integration_fixed_point():
 
 
 def test_grid_fixed_point_over_random_intervals():
-    pi = normalize_to_possibility(normal_density(n=2001))
+    pi = normal_density(n=2001).scaled_by_max()
     m = MeasureSpec.possibilistic(pi)
     tol = grid_tolerance(pi)
     rng = np.random.default_rng(123)
@@ -331,6 +330,24 @@ def test_grid_integral_with_additive_measure():
 
 
 def test_grid_integral_empty_event_is_zero():
-    pi = normalize_to_possibility(normal_density(n=101))
+    pi = normal_density(n=101).scaled_by_max()
     m = MeasureSpec.possibilistic(pi)
     assert sugeno_integral(pi, IntervalSet.empty(), m) == 0.0
+
+
+@pytest.mark.parametrize("n", [5, 50, 300])
+def test_finite_possibility_sugeno_is_sup_min(n):
+    # for a possibility measure the Sugeno integral is sup min(f, pi)
+    # over the event (Dubois & Prade), exactly, with no rounding step
+    rng = np.random.default_rng(n)
+    labels = tuple(f"e{i}" for i in range(n))
+    for _ in range(20):
+        f = rng.random(n)
+        pi = rng.random(n)
+        pi[rng.integers(n)] = 1.0
+        mask = rng.random(n) < 0.5
+        m = MeasureSpec.possibilistic(FiniteFuzzySet(labels, pi))
+        event = [l for l, keep in zip(labels, mask) if keep]
+        got = sugeno_integral(FiniteFuzzySet(labels, f), event, m)
+        want = float(np.max(np.minimum(f, pi)[mask])) if mask.any() else 0.0
+        assert got == want

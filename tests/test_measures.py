@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vagueq import (
+    AdditiveMeasure,
     FiniteFuzzySet,
     GridFunction,
     IntervalSet,
-    MeasureKind,
     MeasureSpec,
     check_additivity,
     check_possibility_union_axiom,
-    height_grid,
     measure_of,
-    normalize_to_possibility,
     read_table_measure,
+    sugeno_integral,
     union_all,
     write_table_measure,
 )
@@ -39,7 +38,7 @@ def finite_pi() -> FiniteFuzzySet:
 
 def test_additive_records_norm_and_flag():
     m = MeasureSpec.additive(standard_normal())
-    assert m.kind is MeasureKind.ADDITIVE_DENSITY
+    assert isinstance(m, AdditiveMeasure)
     assert abs(m.norm - 1.0) <= 1e-6
     assert m.is_normalized
     un = MeasureSpec.additive(GridFunction(0.0, 1.0, [2.0, 2.0]))
@@ -147,7 +146,7 @@ def test_event_outside_grid_span_is_an_error():
 
 def test_empty_event_measures_zero_for_every_kind():
     density = standard_normal()
-    pi = normalize_to_possibility(density)
+    pi = density.scaled_by_max()
     assert measure_of(MeasureSpec.additive(density), IntervalSet.empty()) == 0.0
     assert measure_of(MeasureSpec.possibilistic(pi), IntervalSet.empty()) == 0.0
     assert measure_of(MeasureSpec.from_table(("a", "b"), _table_2()), []) == 0.0
@@ -156,7 +155,7 @@ def test_empty_event_measures_zero_for_every_kind():
 # --- axioms ---------------------------------------------------------------------
 
 def test_possibilistic_maxitivity_is_exact_on_shared_grids():
-    pi = normalize_to_possibility(standard_normal(n=2001))
+    pi = standard_normal(n=2001).scaled_by_max()
     m = MeasureSpec.possibilistic(pi)
     rng = np.random.default_rng(20240817)
     for _ in range(200):
@@ -200,7 +199,7 @@ def test_monotonicity_on_nested_interval_sets():
     density = standard_normal(n=2001)
     measures = [
         MeasureSpec.additive(density),
-        MeasureSpec.possibilistic(normalize_to_possibility(density)),
+        MeasureSpec.possibilistic(density.scaled_by_max()),
     ]
     rng = np.random.default_rng(99)
     for _ in range(500):
@@ -231,8 +230,8 @@ def test_lebesgue_additivity_over_disjoint_sets_is_tight():
 
 def test_normalize_to_possibility_reaches_exactly_one():
     density = standard_normal()
-    pi = normalize_to_possibility(density)
-    assert height_grid(pi) == 1.0
+    pi = density.scaled_by_max()
+    assert float(pi.samples.max()) == 1.0
     # shape preserved: ratios unchanged up to round-off
     k = 777
     expected = density.samples[k] / density.samples.max()
@@ -241,7 +240,7 @@ def test_normalize_to_possibility_reaches_exactly_one():
 
 def test_normalize_rejects_identically_zero():
     with pytest.raises(ValueError, match="zero"):
-        normalize_to_possibility(GridFunction(0.0, 1.0, [0.0, 0.0]))
+        GridFunction(0.0, 1.0, [0.0, 0.0]).scaled_by_max()
 
 
 # --- table text format ------------------------------------------------------------
@@ -283,3 +282,23 @@ def test_table_file_rejects_malformed_lines(tmp_path):
     path.write_text("just-a-key-no-value\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected 'subset,value'"):
         read_table_measure(path)
+
+
+def test_table_file_names_the_line_of_an_unparsable_value(tmp_path):
+    path = tmp_path / "measure.txt"
+    path.write_text("{},0.0\na,abc\nb,0.5\na|b,1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"measure\.txt:2: cannot parse"):
+        read_table_measure(path)
+
+
+# --- possibility never exceeds 1 ----------------------------------------------------
+
+def test_possibility_within_slack_above_one_is_clamped():
+    pi = GridFunction(0.0, 1.0, [0.2, 1.0 + 5e-10])
+    m = MeasureSpec.possibilistic(pi)
+    full = pi.full_span()
+    assert measure_of(m, full) == 1.0
+    assert sugeno_integral(pi, full, m) <= 1.0
+    # a distribution already within [0, 1] is kept as given
+    exact = pi.scaled_by_max()
+    assert MeasureSpec.possibilistic(exact).distribution is exact

@@ -19,7 +19,6 @@ from vagueq import (
     is_entangled,
     ket0,
     ket1,
-    make_fuzzy_state,
     parse_state_literal,
     random_qubit_state,
     tensor_product,
@@ -52,14 +51,14 @@ def test_norm_slack_admits_roundoff():
 
 
 def test_fuzzy_states_accept_unnormalized_grades():
-    s = make_fuzzy_state(0.8, 0.5)
+    s = FuzzyQubitState(0.8, 0.5)
     assert (s.mu0, s.mu1) == (0.8, 0.5)
     assert not s.born_compatible
-    assert make_fuzzy_state(0.5, 0.5).born_compatible
+    assert FuzzyQubitState(0.5, 0.5).born_compatible
     with pytest.raises(ValueError):
-        make_fuzzy_state(1.2, 0.1)
+        FuzzyQubitState(1.2, 0.1)
     with pytest.raises(ValueError):
-        make_fuzzy_state(-0.1, 0.0)
+        FuzzyQubitState(-0.1, 0.0)
 
 
 # --- gates ------------------------------------------------------------------------
@@ -141,11 +140,11 @@ def test_fuzzified_physical_states_are_born_compatible():
 # --- defuzzification ----------------------------------------------------------------
 
 def test_argmax_defuzzification():
-    assert defuzzify(make_fuzzy_state(0.9, 0.1)) == 0
-    assert defuzzify(make_fuzzy_state(0.1, 0.9)) == 1
+    assert defuzzify(FuzzyQubitState(0.9, 0.1)) == 0
+    assert defuzzify(FuzzyQubitState(0.1, 0.9)) == 1
     # documented tie rule: equal grades collapse to 0
-    assert defuzzify(make_fuzzy_state(0.5, 0.5)) == 0
-    assert defuzzify(make_fuzzy_state(0.3, 0.3 + 1e-13)) == 0
+    assert defuzzify(FuzzyQubitState(0.5, 0.5)) == 0
+    assert defuzzify(FuzzyQubitState(0.3, 0.3 + 1e-13)) == 0
 
 
 def test_argmax_is_scale_invariant():
@@ -155,13 +154,13 @@ def test_argmax_is_scale_invariant():
         if abs(mu0 - mu1) <= 1e-9:
             continue
         scale = rng.uniform(0.05, 1.0) / max(mu0, mu1)
-        a = defuzzify(make_fuzzy_state(mu0, mu1))
-        b = defuzzify(make_fuzzy_state(mu0 * scale, mu1 * scale))
+        a = defuzzify(FuzzyQubitState(mu0, mu1))
+        b = defuzzify(FuzzyQubitState(mu0 * scale, mu1 * scale))
         assert a == b
 
 
 def test_born_sampling_is_seed_deterministic():
-    s = make_fuzzy_state(0.5, 0.5)
+    s = FuzzyQubitState(0.5, 0.5)
     outcomes = {defuzzify(s, "born_sample", seed=k) for k in range(64)}
     assert outcomes == {0, 1}
     for k in range(16):
@@ -171,7 +170,7 @@ def test_born_sampling_is_seed_deterministic():
 
 
 def test_born_sampling_matches_the_stream_head():
-    s = make_fuzzy_state(0.3, 0.6)
+    s = FuzzyQubitState(0.3, 0.6)
     for seed in range(16):
         assert defuzzify(s, "born_sample", seed=seed) == int(
             born_sample_many(s, 5, seed=seed)[0]
@@ -180,32 +179,32 @@ def test_born_sampling_matches_the_stream_head():
 
 def test_born_sampling_normalizes_grades():
     # unnormalized (0.2, 0.2) samples like (0.5, 0.5)
-    a = born_sample_many(make_fuzzy_state(0.2, 0.2), 1000, seed=9)
-    b = born_sample_many(make_fuzzy_state(0.5, 0.5), 1000, seed=9)
+    a = born_sample_many(FuzzyQubitState(0.2, 0.2), 1000, seed=9)
+    b = born_sample_many(FuzzyQubitState(0.5, 0.5), 1000, seed=9)
     assert np.array_equal(a, b)
 
 
 def test_born_frequency_near_one_half():
-    draws = born_sample_many(make_fuzzy_state(0.5, 0.5), 100000, seed=0)
+    draws = born_sample_many(FuzzyQubitState(0.5, 0.5), 100000, seed=0)
     freq0 = float(np.mean(draws == 0))
     assert 0.494 <= freq0 <= 0.506
 
 
 def test_degenerate_sampling_is_an_error():
-    zero = make_fuzzy_state(0.0, 0.0)
+    zero = FuzzyQubitState(0.0, 0.0)
     with pytest.raises(ValueError, match="zero"):
         defuzzify(zero, "born_sample", seed=1)
     with pytest.raises(ValueError, match="zero"):
         born_sample_many(zero, 10, seed=1)
     with pytest.raises(ValueError, match="draws"):
-        born_sample_many(make_fuzzy_state(0.5, 0.5), 0, seed=1)
+        born_sample_many(FuzzyQubitState(0.5, 0.5), 0, seed=1)
     with pytest.raises(ValueError, match="method"):
-        defuzzify(make_fuzzy_state(0.5, 0.5), "centroid")
+        defuzzify(FuzzyQubitState(0.5, 0.5), "centroid")
 
 
 def test_sure_outcomes_sample_deterministically():
-    assert np.all(born_sample_many(make_fuzzy_state(1.0, 0.0), 100, seed=3) == 0)
-    assert np.all(born_sample_many(make_fuzzy_state(0.0, 1.0), 100, seed=3) == 1)
+    assert np.all(born_sample_many(FuzzyQubitState(1.0, 0.0), 100, seed=3) == 0)
+    assert np.all(born_sample_many(FuzzyQubitState(0.0, 1.0), 100, seed=3) == 1)
 
 
 # --- two qubits -------------------------------------------------------------------
