@@ -99,11 +99,8 @@ def grid_tolerance(f: GridFunction) -> float:
 
 
 def _sugeno_finite(f: FiniteFuzzySet, a, m: MeasureSpec) -> float:
-    if a is None:
-        idx = np.arange(len(f.universe))
-    else:
-        subset = label_subset(f.universe, a)
-        idx = np.array([k for k, l in enumerate(f.universe) if l in subset], dtype=int)
+    subset = label_subset(f.universe, f.universe if a is None else a)
+    idx = np.array([k for k, l in enumerate(f.universe) if l in subset], dtype=int)
     # sorted-value evaluation: with f's values taken downward, the top-sets
     # grow one label at a time and the integral is the best
     # min(value, mu(top-set)); a stable sort keeps ties in universe order
