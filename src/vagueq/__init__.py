@@ -47,7 +47,6 @@ from .language import (
 )
 from .localize import (
     LocalizationReport,
-    WavefunctionKind,
     WavefunctionSpec,
     localization_sweep,
     localize,

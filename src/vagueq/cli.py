@@ -288,12 +288,12 @@ def _cmd_localize(args) -> int:
     w = load_wavefunction(args.wavefunction, args)
     a, b = parse_interval(args.interval)
     report = localize(w, a, b, time=args.time)
+    rows = localization_sweep(w, a, b, steps=args.sweep_steps) if args.csv else None
     for line in report.lines():
         print(line)
     if args.dump_density:
         write_grid_csv(realize_density(w), args.dump_density)
-    if args.csv:
-        rows = localization_sweep(w, a, b, steps=args.sweep_steps)
+    if rows is not None:
         _write_csv(args.csv, "a,b,probability,possibility", rows)
     return 0
 

@@ -130,10 +130,9 @@ def _sugeno_grid(f: GridFunction, a: IntervalSet, m: MeasureSpec) -> float:
     # instead of scanning all of them; then refine between those levels.
     levels = np.unique(f.samples)
     levels = levels[levels > 0.0]
-    best = 0.0
     top_level = float(levels[-1])
     if g(top_level) >= top_level:
-        return min(top_level, g(top_level))
+        return top_level
     lo_idx, hi_idx = -1, levels.size - 1  # virtual level 0 below index 0
     while hi_idx - lo_idx > 1:
         mid = (lo_idx + hi_idx) // 2
@@ -144,14 +143,13 @@ def _sugeno_grid(f: GridFunction, a: IntervalSet, m: MeasureSpec) -> float:
             hi_idx = mid
     lo = 0.0 if lo_idx < 0 else float(levels[lo_idx])
     hi = float(levels[hi_idx])
-    best = max(best, lo, min(hi, g(hi)))
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if g(mid) >= mid:
             lo = mid
         else:
             hi = mid
-    return max(best, lo, min(hi, g(hi)))
+    return max(lo, min(hi, g(hi)))
 
 
 def sugeno_integral(f, a, m: MeasureSpec) -> float:

@@ -146,7 +146,7 @@ def read_grade_table(path, alphabet: str | None = None) -> FuzzyLanguage:
     """Read ``word,grade`` lines; the empty word is spelled as an epsilon
     or left as an empty field.  Without an explicit alphabet the sorted
     set of symbols appearing in the words is used."""
-    table: dict[str, str] = {}
+    table: dict[str, Fraction] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -160,7 +160,12 @@ def read_grade_table(path, alphabet: str | None = None) -> FuzzyLanguage:
                 word = ""
             if word in table:
                 raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
-            table[word] = value.strip()
+            try:
+                table[word] = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"{path}:{lineno}: cannot parse grade {value!r}"
+                ) from None
     symbols = (
         tuple(alphabet)
         if alphabet is not None
@@ -168,7 +173,7 @@ def read_grade_table(path, alphabet: str | None = None) -> FuzzyLanguage:
     )
     if not symbols:
         raise ValueError(f"{path}: cannot infer an alphabet; none given")
-    return language_from_table(symbols, {w: Fraction(v) for w, v in table.items()})
+    return language_from_table(symbols, table)
 
 
 def write_grade_table(language_table: dict[str, float], path) -> None:

@@ -13,8 +13,7 @@ comparable on the same report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,61 +25,30 @@ from .render import format_value
 
 DEFAULT_GRID_POINTS = 10001
 MIN_GRID_POINTS = 101
+MAX_GRID_POINTS = 10_000_001
 MAX_BOX_LEVEL = 50
+MAX_SWEEP_STEPS = 100_000
 
 
-class WavefunctionKind(Enum):
-    GAUSSIAN = "gaussian"
-    BOX_EIGENSTATE = "box"
-    SAMPLES = "samples"
+def _check_grid_points(n: int) -> None:
+    if not MIN_GRID_POINTS <= n <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid_points must be in {MIN_GRID_POINTS}..{MAX_GRID_POINTS}, got {n}"
+        )
 
 
-@dataclass(frozen=True, eq=False)
 class WavefunctionSpec:
-    """Recipe for a position density on a 1-D domain.
+    """Base of the position densities, built through the three factory methods.
 
-    ``gaussian`` is the normalized normal density centered at ``mu`` with
-    width ``sigma`` (default domain: eight sigmas each side).  ``box`` is
-    the n-th stationary density of the infinite well on [0, length],
-    (2/L) sin^2(n pi x / L).  ``samples`` passes a GridFunction through
-    untouched.  ``time`` is recorded on reports; the built-in densities
-    are stationary, so it never changes any number.
+    ``gaussian`` (a ``GaussianWavefunction``) is the normalized normal
+    density centered at ``mu`` with width ``sigma``, by default on eight
+    sigmas each side.  ``box_eigenstate`` (a ``BoxWavefunction``) is the
+    n-th stationary density of the infinite well on [0, length],
+    (2/L) sin^2(n pi x / L).  ``from_samples`` (a ``SampledWavefunction``)
+    passes a GridFunction through untouched.  Each type checks its own
+    fields and answers ``_density``.  The densities are stationary, so the
+    ``time`` recorded on a report never changes any number.
     """
-
-    kind: WavefunctionKind
-    mu: float = 0.0
-    sigma: float = 1.0
-    level: int = 1
-    length: float = 1.0
-    samples: GridFunction | None = None
-    domain: tuple[float, float] | None = None
-    grid_points: int = DEFAULT_GRID_POINTS
-
-    def __post_init__(self) -> None:
-        if self.kind is not WavefunctionKind.SAMPLES:
-            if self.grid_points < MIN_GRID_POINTS:
-                raise ValueError(
-                    f"grid_points must be >= {MIN_GRID_POINTS}, got {self.grid_points}"
-                )
-        if self.kind is WavefunctionKind.GAUSSIAN:
-            if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-                raise ValueError("mu and sigma must be finite")
-            if self.sigma <= 0.0:
-                raise ValueError(f"sigma must be positive, got {self.sigma}")
-            if self.domain is not None:
-                lo, hi = self.domain
-                if not lo < hi:
-                    raise ValueError(f"domain [{lo}, {hi}] is empty or inverted")
-        elif self.kind is WavefunctionKind.BOX_EIGENSTATE:
-            if not 1 <= self.level <= MAX_BOX_LEVEL:
-                raise ValueError(
-                    f"box level must be in 1..{MAX_BOX_LEVEL}, got {self.level}"
-                )
-            if not (math.isfinite(self.length) and self.length > 0.0):
-                raise ValueError(f"box length must be positive, got {self.length}")
-        elif self.kind is WavefunctionKind.SAMPLES:
-            if self.samples is None:
-                raise ValueError("samples spec needs a GridFunction")
 
     @classmethod
     def gaussian(
@@ -89,47 +57,84 @@ class WavefunctionSpec:
         sigma: float = 1.0,
         domain: tuple[float, float] | None = None,
         grid_points: int = DEFAULT_GRID_POINTS,
-    ) -> "WavefunctionSpec":
-        return cls(
-            WavefunctionKind.GAUSSIAN,
-            mu=float(mu),
-            sigma=float(sigma),
-            domain=domain,
-            grid_points=int(grid_points),
-        )
+    ) -> "GaussianWavefunction":
+        mu, sigma = float(mu), float(sigma)
+        if domain is None:
+            domain = (mu - 8.0 * sigma, mu + 8.0 * sigma)
+        return GaussianWavefunction(mu, sigma, domain, int(grid_points))
 
     @classmethod
     def box_eigenstate(
         cls, level: int, length: float, grid_points: int = DEFAULT_GRID_POINTS
-    ) -> "WavefunctionSpec":
-        return cls(
-            WavefunctionKind.BOX_EIGENSTATE,
-            level=int(level),
-            length=float(length),
-            grid_points=int(grid_points),
-        )
+    ) -> "BoxWavefunction":
+        return BoxWavefunction(int(level), float(length), int(grid_points))
 
     @classmethod
-    def from_samples(cls, samples: GridFunction) -> "WavefunctionSpec":
-        return cls(WavefunctionKind.SAMPLES, samples=samples)
+    def from_samples(cls, samples: GridFunction) -> "SampledWavefunction":
+        return SampledWavefunction(samples)
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianWavefunction(WavefunctionSpec):
+    mu: float
+    sigma: float
+    domain: tuple[float, float]
+    grid_points: int
+
+    def __post_init__(self) -> None:
+        _check_grid_points(self.grid_points)
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ValueError("mu and sigma must be finite")
+        if self.sigma <= 0.0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        lo, hi = self.domain
+        if not lo < hi:
+            raise ValueError(f"domain [{lo}, {hi}] is empty or inverted")
+
+    def _density(self) -> GridFunction:
+        lo, hi = self.domain
+        xs = np.linspace(lo, hi, self.grid_points)
+        z = (xs - self.mu) / self.sigma
+        ys = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+        return GridFunction(lo, hi, ys)
+
+
+@dataclass(frozen=True, eq=False)
+class BoxWavefunction(WavefunctionSpec):
+    level: int
+    length: float
+    grid_points: int
+
+    def __post_init__(self) -> None:
+        _check_grid_points(self.grid_points)
+        if not 1 <= self.level <= MAX_BOX_LEVEL:
+            raise ValueError(
+                f"box level must be in 1..{MAX_BOX_LEVEL}, got {self.level}"
+            )
+        if not (math.isfinite(self.length) and self.length > 0.0):
+            raise ValueError(f"box length must be positive, got {self.length}")
+
+    def _density(self) -> GridFunction:
+        xs = np.linspace(0.0, self.length, self.grid_points)
+        ys = (2.0 / self.length) * np.sin(self.level * math.pi * xs / self.length) ** 2
+        return GridFunction(0.0, self.length, ys)
+
+
+@dataclass(frozen=True, eq=False)
+class SampledWavefunction(WavefunctionSpec):
+    samples: GridFunction
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.samples, GridFunction):
+            raise ValueError("samples spec needs a GridFunction")
+
+    def _density(self) -> GridFunction:
+        return self.samples
 
 
 def realize_density(w: WavefunctionSpec) -> GridFunction:
     """Sample the density described by ``w`` onto its grid."""
-    if w.kind is WavefunctionKind.SAMPLES:
-        return w.samples
-    if w.kind is WavefunctionKind.GAUSSIAN:
-        if w.domain is not None:
-            lo, hi = w.domain
-        else:
-            lo, hi = w.mu - 8.0 * w.sigma, w.mu + 8.0 * w.sigma
-        xs = np.linspace(lo, hi, w.grid_points)
-        z = (xs - w.mu) / w.sigma
-        ys = np.exp(-0.5 * z * z) / (w.sigma * math.sqrt(2.0 * math.pi))
-        return GridFunction(lo, hi, ys)
-    xs = np.linspace(0.0, w.length, w.grid_points)
-    ys = (2.0 / w.length) * np.sin(w.level * math.pi * xs / w.length) ** 2
-    return GridFunction(0.0, w.length, ys)
+    return w._density()
 
 
 @dataclass(frozen=True)
@@ -159,23 +164,15 @@ class LocalizationReport:
             )
 
     def lines(self) -> list[str]:
-        keys = (
-            ("a", self.a),
-            ("b", self.b),
-            ("time", self.time),
-            ("probability", self.probability),
-            ("possibility", self.possibility),
-            ("possibility_sugeno", self.possibility_sugeno),
-            ("density_norm", self.density_norm),
-            ("grid_tolerance", self.grid_tolerance),
-        )
-        return [f"{k} = {format_value(v)}" for k, v in keys]
+        return [
+            f"{f.name} = {format_value(getattr(self, f.name))}" for f in fields(self)
+        ]
 
 
-def localize(
-    w: WavefunctionSpec, a: float, b: float, time: float = 0.0
-) -> LocalizationReport:
-    """Probability and possibility of finding the particle in [a, b)."""
+def _density_on_window(
+    w: WavefunctionSpec, a: float, b: float
+) -> tuple[float, float, GridFunction]:
+    """The window [a, b) as floats and w's density, checked to contain it."""
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
@@ -185,6 +182,14 @@ def localize(
             f"interval [{a}, {b}) outside the domain "
             f"[{density.x_min}, {density.x_max}]"
         )
+    return a, b, density
+
+
+def localize(
+    w: WavefunctionSpec, a: float, b: float, time: float = 0.0
+) -> LocalizationReport:
+    """Probability and possibility of finding the particle in [a, b)."""
+    a, b, density = _density_on_window(w, a, b)
     window = IntervalSet.interval(a, b)
     probability = density.integral_over(window)
     density_norm = density.integral_over(density.full_span())
@@ -213,17 +218,9 @@ def localization_sweep(
     window [a, x) is measured against them, which is what a plot of
     additive vs possibilistic localization wants.
     """
-    a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    density = realize_density(w)
-    if a < density.x_min or b > density.x_max:
-        raise ValueError(
-            f"interval [{a}, {b}) outside the domain "
-            f"[{density.x_min}, {density.x_max}]"
-        )
+    if not 1 <= steps <= MAX_SWEEP_STEPS:
+        raise ValueError(f"steps must be in 1..{MAX_SWEEP_STEPS}, got {steps}")
+    a, b, density = _density_on_window(w, a, b)
     pi = density.scaled_by_max()
     pi_measure = MeasureSpec.possibilistic(pi)
     rows = []

@@ -17,6 +17,7 @@ from .fuzzy import as_grade
 
 NORM_TOL = 1e-9
 TIE_TOL = 1e-12
+MAX_DRAWS = 10_000_000
 SQRT2 = math.sqrt(2.0)
 
 
@@ -128,18 +129,14 @@ def defuzzify(s: FuzzyQubitState, method: str = "argmax", seed: int | None = Non
             return 0
         return 0 if s.mu0 > s.mu1 else 1
     if method == "born_sample":
-        total = s.mu0 + s.mu1
-        if total <= 0.0:
-            raise ValueError("cannot sample from an identically zero fuzzy state")
-        rng = np.random.default_rng(seed)
-        return 0 if rng.random() < s.mu0 / total else 1
+        return int(born_sample_many(s, 1, seed)[0])
     raise ValueError(f"unknown defuzzification method {method!r}")
 
 
 def born_sample_many(s: FuzzyQubitState, draws: int, seed: int | None = None) -> np.ndarray:
     """Vector of outcomes from one seeded stream (see ``defuzzify``)."""
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
+    if not 1 <= draws <= MAX_DRAWS:
+        raise ValueError(f"draws must be in 1..{MAX_DRAWS}, got {draws}")
     total = s.mu0 + s.mu1
     if total <= 0.0:
         raise ValueError("cannot sample from an identically zero fuzzy state")

@@ -40,15 +40,17 @@ def sugeno_bruteforce_oracle(
     for k in range(len(f.universe)):
         if a_mask[k]:
             ids |= (f.grades[k] >= alphas).astype(np.int64) << k
-    uniq, inverse = np.unique(ids, return_inverse=True)
-    mu_uniq = np.array(
+    # a label's bit turns off once as alpha rises, so ids never increase
+    # and each distinct id is one contiguous run
+    starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+    mu_runs = np.array(
         [
             measure_of(
                 m,
                 [f.universe[k] for k in range(len(f.universe)) if uid & (1 << k)],
             )
-            for uid in uniq
+            for uid in ids[starts]
         ]
     )
-    mu = mu_uniq[inverse]
+    mu = np.repeat(mu_runs, np.diff(np.append(starts, ids.size)))
     return float(np.max(np.minimum(alphas, mu)))

@@ -607,6 +607,37 @@ def test_duplicate_spec_keys_exit_1(capsys):
     assert err.count("\n") == 1
 
 
+def test_lang_table_bad_grade_exit_1(capsys, tmp_path):
+    path = tmp_path / "lang.txt"
+    for grade in ("1/0", "abc"):
+        path.write_text(f"ab,{grade}\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "lang", "grade", "--word", "ab", "--language", f"table:path={path}"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "lang.txt:1: cannot parse grade" in err
+        assert err.count("\n") == 1
+
+
+def test_oversized_counts_exit_1_before_any_output(capsys, tmp_path):
+    sweep_path = tmp_path / "sweep.csv"
+    runs = (
+        ("localize", "--wavefunction", "gaussian:mu=0,sigma=1",
+         "--interval", "-1,1", "--grid", "1000000000000"),
+        ("localize", "--wavefunction", "box:n=1,L=1",
+         "--interval", "0.1,0.9", "--grid", "1000000000000"),
+        ("localize", "--wavefunction", "gaussian:mu=0,sigma=1", "--interval", "-1,1",
+         "--grid", "501", "--csv", str(sweep_path), "--sweep-steps", "1000000000000"),
+        ("qubit", "--init", "0", "--gate", "H", "--report", "sample",
+         "--draws", "1000000000000"),
+    )
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert not sweep_path.exists()
+
+
 def test_unknown_spec_kinds_exit_1(capsys):
     code, _, err = run_cli(
         capsys,

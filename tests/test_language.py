@@ -180,3 +180,17 @@ def test_grade_table_file_errors(tmp_path):
     path.write_text("ε,0.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="alphabet"):
         read_grade_table(path)
+
+
+def test_grade_table_zero_denominator_names_the_line(tmp_path):
+    path = tmp_path / "lang.txt"
+    path.write_text("0,0.5\nab,1/0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"lang\.txt:2: cannot parse grade '1/0'"):
+        read_grade_table(path)
+
+
+def test_grade_table_garbage_grade_names_the_line(tmp_path):
+    path = tmp_path / "lang.txt"
+    path.write_text("# comment\nab,abc\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"lang\.txt:2: cannot parse grade 'abc'"):
+        read_grade_table(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 from vagueq import (
     GridFunction,
     LocalizationReport,
-    WavefunctionKind,
     WavefunctionSpec,
     localization_sweep,
     localize,
     realize_density,
 )
+from vagueq.localize import MAX_GRID_POINTS, MAX_SWEEP_STEPS
 
 PEAK_STANDARD_NORMAL = 0.3989422804014327  # 1 / sqrt(2 pi)
 MASS_MINUS1_TO_1 = 0.6826894921370859  # erf(1 / sqrt(2))
@@ -70,7 +71,24 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="domain"):
         WavefunctionSpec.gaussian(0.0, 1.0, domain=(2.0, 1.0))
     with pytest.raises(ValueError, match="GridFunction"):
-        WavefunctionSpec(kind=WavefunctionKind.SAMPLES)
+        WavefunctionSpec.from_samples(None)
+    # the caps are checked before any grid is allocated
+    with pytest.raises(ValueError, match="grid_points"):
+        WavefunctionSpec.gaussian(0.0, 1.0, grid_points=MAX_GRID_POINTS + 1)
+    with pytest.raises(ValueError, match="grid_points"):
+        WavefunctionSpec.box_eigenstate(1, 1.0, grid_points=10**12)
+
+
+def test_each_wavefunction_type_holds_only_its_own_fields():
+    g = GridFunction(0.0, 1.0, [0.1, 0.9, 0.4])
+    shapes = {
+        WavefunctionSpec.gaussian(0.0, 1.0): ("mu", "sigma", "domain", "grid_points"),
+        WavefunctionSpec.box_eigenstate(2, 1.0): ("level", "length", "grid_points"),
+        WavefunctionSpec.from_samples(g): ("samples",),
+    }
+    for w, names in shapes.items():
+        assert isinstance(w, WavefunctionSpec)
+        assert tuple(f.name for f in dataclasses.fields(w)) == names
 
 
 # --- the flagship numbers ---------------------------------------------------------
@@ -218,3 +236,5 @@ def test_sweep_argument_errors():
         localization_sweep(w, 1.0, 1.0)
     with pytest.raises(ValueError, match="domain"):
         localization_sweep(w, -9.0, 1.0)
+    with pytest.raises(ValueError, match="steps"):
+        localization_sweep(w, -1.0, 1.0, steps=MAX_SWEEP_STEPS + 1)

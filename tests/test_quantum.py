@@ -23,6 +23,7 @@ from vagueq import (
     random_qubit_state,
     tensor_product,
 )
+from vagueq.qubits import MAX_DRAWS
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -198,6 +199,8 @@ def test_degenerate_sampling_is_an_error():
         born_sample_many(zero, 10, seed=1)
     with pytest.raises(ValueError, match="draws"):
         born_sample_many(FuzzyQubitState(0.5, 0.5), 0, seed=1)
+    with pytest.raises(ValueError, match="draws"):
+        born_sample_many(FuzzyQubitState(0.5, 0.5), MAX_DRAWS + 1, seed=1)
     with pytest.raises(ValueError, match="method"):
         defuzzify(FuzzyQubitState(0.5, 0.5), "centroid")
 
