@@ -2,8 +2,8 @@
 
 Numeric results print as ``key = value`` lines; CSV dumps go behind
 ``--csv`` (sweeps) or ``--dump-density`` (re-ingestable samples).  Exit
-codes: 0 on success, 1 on domain errors (one-line diagnostic on stderr),
-2 on usage errors.
+codes: 0 on success, 1 on domain errors, 2 on usage errors; both errors
+write one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -67,18 +67,9 @@ _NEGATIVE_VALUE_FLAGS = ("--interval", "--domain", "--parts", "--fuzzy", "--time
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     out: list[str] = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (
-            token in _NEGATIVE_VALUE_FLAGS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-        ):
-            out.append(f"{token}={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if out and out[-1] in _NEGATIVE_VALUE_FLAGS and token.startswith("-"):
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
@@ -287,12 +278,14 @@ def _cmd_integrate(args) -> int:
 def _cmd_localize(args) -> int:
     w = load_wavefunction(args.wavefunction, args)
     a, b = parse_interval(args.interval)
+    density = realize_density(w)  # once: the report, sweep and dump share it
+    w = WavefunctionSpec.from_samples(density)
     report = localize(w, a, b, time=args.time)
     rows = localization_sweep(w, a, b, steps=args.sweep_steps) if args.csv else None
     for line in report.lines():
         print(line)
     if args.dump_density:
-        write_grid_csv(realize_density(w), args.dump_density)
+        write_grid_csv(density, args.dump_density)
     if rows is not None:
         _write_csv(args.csv, "a,b,probability,possibility", rows)
     return 0
@@ -409,8 +402,13 @@ def _cmd_lang(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, exit 2; subcommand parsers inherit it
+        self.exit(2, f"error: {message} (see '{self.prog} --help')\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vagueq",
         description="Fuzzy sets, possibility measures, Sugeno integration, "
         "and a toy possibilistic qubit simulator.",

@@ -156,7 +156,7 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         lo, hi = float(self.x_min), float(self.x_max)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        if not (math.isfinite(hi - lo) and lo < hi):
             raise ValueError(f"need finite x_min < x_max, got [{lo}, {hi}]")
         raw = np.asarray(self.samples, dtype=float)
         if raw.ndim != 1 or raw.size < 2:
@@ -174,21 +174,17 @@ class GridFunction:
         h = (hi - lo) / (vals.size - 1)
         # cumulative trapezoid at nodes; shared by every integral query so
         # that integrals over abutting intervals telescope.  Compensated
-        # summation keeps each partial sum correctly rounded; a plain
-        # cumsum drifts by ~n ulps and visibly misses round totals
-        cells = h * 0.5 * (vals[:-1] + vals[1:])
-        prefix = np.empty(vals.size)
-        prefix[0] = 0.0
-        s = 0.0
-        c = 0.0
-        for i, cell in enumerate(cells.tolist()):
-            t = s + cell
-            if abs(s) >= abs(cell):
-                c += (s - t) + cell
-            else:
-                c += (cell - t) + s
-            s = t
-            prefix[i + 1] = s + c
+        # (Neumaier) summation: a plain cumsum drifts by ~n ulps and
+        # visibly misses round totals, so each step's rounding error,
+        # exact by Knuth's TwoSum, is summed alongside and added back
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            cells = h * 0.5 * (vals[:-1] + vals[1:])
+            prefix = np.concatenate(([0.0], cells)).cumsum()
+            back = prefix[1:] - prefix[:-1]
+            err = (prefix[:-1] - (prefix[1:] - back)) + (cells - back)
+            prefix[1:] += np.cumsum(err)
+        if not math.isfinite(prefix[-1]):
+            raise ValueError("the integral of the samples overflows")
         nodes.setflags(write=False)
         prefix.setflags(write=False)
         object.__setattr__(self, "_nodes", nodes)

@@ -124,27 +124,17 @@ def _sugeno_grid(f: GridFunction, a: IntervalSet, m: MeasureSpec) -> float:
         return 0.0
 
     # g is non-increasing, so h(alpha) = min(alpha, g(alpha)) rises like
-    # alpha until g crosses the identity and falls with g afterwards.
-    # Among the sampled levels only the two bracketing the crossing can
-    # attain the max, so locate them by bisection on the sorted levels
-    # instead of scanning all of them; then refine between those levels.
-    levels = np.unique(f.samples)
-    levels = levels[levels > 0.0]
-    top_level = float(levels[-1])
-    if g(top_level) >= top_level:
-        return top_level
-    lo_idx, hi_idx = -1, levels.size - 1  # virtual level 0 below index 0
-    while hi_idx - lo_idx > 1:
-        mid = (lo_idx + hi_idx) // 2
-        v = float(levels[mid])
-        if g(v) >= v:
-            lo_idx = mid
-        else:
-            hi_idx = mid
-    lo = 0.0 if lo_idx < 0 else float(levels[lo_idx])
-    hi = float(levels[hi_idx])
+    # alpha until g crosses the identity and falls with g afterwards:
+    # bisect [0, top] for the crossing, keeping g(lo) >= lo and g(hi) < hi.
+    # The bracket stops at BISECTION_TOL or, for large levels whose ulp
+    # exceeds it, once no float lies strictly between lo and hi.
+    if g(top) >= top:
+        return top
+    lo, hi = 0.0, top
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if g(mid) >= mid:
             lo = mid
         else:
@@ -157,9 +147,9 @@ def sugeno_integral(f, a, m: MeasureSpec) -> float:
 
     Finite fuzzy sets use the exact sorted-value evaluation; ``a`` is an
     iterable of labels or None for the whole universe.  Grid functions
-    take ``a`` as an IntervalSet and search the crossing of
-    g(alpha) = mu(a intersect {f >= alpha}) with the identity, refining
-    by bisection to 1e-10 between the two sampled levels that bracket it.
+    take ``a`` as an IntervalSet and bisect [0, max f] for the crossing of
+    g(alpha) = mu(a intersect {f >= alpha}) with the identity, down to a
+    bracket of 1e-10 or of adjacent floats, whichever is wider.
     """
     if isinstance(f, FiniteFuzzySet):
         return _sugeno_finite(f, a, m)

@@ -134,7 +134,7 @@ def language_from_table(
                 )
         v = Fraction(str(value)) if not isinstance(value, Fraction) else value
         if not 0 <= v <= 1:
-            raise ValueError(f"grade {value!r} for word {w!r} outside [0, 1]")
+            raise ValueError(f"grade {value} for word {w!r} outside [0, 1]")
         frozen[w] = v
     return FuzzyLanguage(symbols, lambda w: frozen.get(w, Fraction(0)))
 
@@ -161,11 +161,16 @@ def read_grade_table(path, alphabet: str | None = None) -> FuzzyLanguage:
             if word in table:
                 raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
             try:
-                table[word] = Fraction(value)
+                grade = Fraction(value)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(
                     f"{path}:{lineno}: cannot parse grade {value!r}"
                 ) from None
+            if not 0 <= grade <= 1:
+                raise ValueError(
+                    f"{path}:{lineno}: grade {grade} for word {word!r} outside [0, 1]"
+                )
+            table[word] = grade
     symbols = (
         tuple(alphabet)
         if alphabet is not None

@@ -85,17 +85,19 @@ class GaussianWavefunction(WavefunctionSpec):
         _check_grid_points(self.grid_points)
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise ValueError("mu and sigma must be finite")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # 1/sigma bounds the peak density 1/(sigma sqrt(2 pi)) from above
+        if not (self.sigma > 0.0 and math.isfinite(1.0 / self.sigma)):
+            raise ValueError(f"sigma must be positive, 1/sigma finite, got {self.sigma}")
         lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError(f"domain [{lo}, {hi}] is empty or inverted")
+        if not (math.isfinite(hi - lo) and lo < hi):
+            raise ValueError(f"domain [{lo}, {hi}] must be finite and non-empty")
 
     def _density(self) -> GridFunction:
         lo, hi = self.domain
         xs = np.linspace(lo, hi, self.grid_points)
-        z = (xs - self.mu) / self.sigma
-        ys = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+        with np.errstate(over="ignore"):  # far tails: z * z is inf, exp gives 0
+            z = (xs - self.mu) / self.sigma
+            ys = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
         return GridFunction(lo, hi, ys)
 
 
@@ -111,8 +113,14 @@ class BoxWavefunction(WavefunctionSpec):
             raise ValueError(
                 f"box level must be in 1..{MAX_BOX_LEVEL}, got {self.level}"
             )
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise ValueError(f"box length must be positive, got {self.length}")
+        # positive, with a finite height 2/L and phase n pi L at x = L
+        length = self.length
+        if not (
+            length > 0.0
+            and math.isfinite(2.0 / length)
+            and math.isfinite(self.level * math.pi * length)
+        ):
+            raise ValueError(f"box length must be positive and in range, got {length}")
 
     def _density(self) -> GridFunction:
         xs = np.linspace(0.0, self.length, self.grid_points)

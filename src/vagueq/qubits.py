@@ -23,8 +23,9 @@ SQRT2 = math.sqrt(2.0)
 
 def _check_amplitude(value) -> complex:
     z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"amplitude {value!r} is not finite")
+    # a normalized state has no such amplitude; squaring a huge one overflows
+    if not (abs(z.real) <= 1.0 + NORM_TOL and abs(z.imag) <= 1.0 + NORM_TOL):
+        raise ValueError(f"amplitude {value!r} is not finite or exceeds 1")
     return z
 
 
@@ -108,6 +109,9 @@ def apply_unitary(s: QubitState, matrix) -> QubitState:
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
+    # a unitary's entries lie in the unit disk; bounded, u @ u^H cannot overflow
+    if not np.all(np.abs(np.stack((u.real, u.imag))) <= 1.0 + NORM_TOL):
+        raise ValueError("matrix is not unitary: an entry is not finite or exceeds 1")
     defect = np.abs(u @ u.conj().T - np.eye(2)).max()
     if defect > NORM_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect})")

@@ -54,3 +54,29 @@ def sugeno_bruteforce_oracle(
     )
     mu = np.repeat(mu_runs, np.diff(np.append(starts, ids.size)))
     return float(np.max(np.minimum(alphas, mu)))
+
+
+def neumaier_prefix_oracle(x_min: float, x_max: float, samples) -> np.ndarray:
+    """Cumulative trapezoid of a grid's samples by the sequential Neumaier
+    loop: a running sum and a running compensation, one cell at a time.
+
+    The reference for ``GridFunction``'s vectorized prefix, which must
+    match it bit for bit.  The cells are formed as the library forms
+    them, from the samples clamped at zero.
+    """
+    vals = np.maximum(np.asarray(samples, dtype=float), 0.0)
+    h = (float(x_max) - float(x_min)) / (vals.size - 1)
+    cells = h * 0.5 * (vals[:-1] + vals[1:])
+    prefix = np.empty(vals.size)
+    prefix[0] = 0.0
+    s = 0.0
+    c = 0.0
+    for i, cell in enumerate(cells.tolist()):
+        t = s + cell
+        if abs(s) >= abs(cell):
+            c += (s - t) + cell
+        else:
+            c += (cell - t) + s
+        s = t
+        prefix[i + 1] = s + c
+    return prefix

@@ -17,6 +17,7 @@ from vagueq import (
     MeasureSpec,
 )
 from vagueq.cli import main
+from vagueq.localize import GaussianWavefunction
 
 
 def run_cli(capsys, *argv):
@@ -339,6 +340,22 @@ def test_integrate_sugeno_grid(capsys, tmp_path):
     assert "grid_tolerance" in values
 
 
+def test_integrate_sugeno_grid_at_large_levels_returns(tmp_path):
+    # the crossing at 2e8 / 3 lies where adjacent floats are wider apart
+    # than the bisection tolerance; run in a child so a hang fails the test
+    f_path, d_path = tmp_path / "f.csv", tmp_path / "d.csv"
+    write_grid_csv(GridFunction(0.0, 1.0, np.linspace(0.0, 2e8, 1001)), f_path)
+    write_grid_csv(GridFunction(0.0, 1.0, np.full(1001, 1e8)), d_path)
+    run = subprocess.run(
+        [sys.executable, "-m", "vagueq", "integrate", "sugeno",
+         "--function", f"grid:{f_path}", "--measure", f"additive:density={d_path}",
+         "--interval", "0,1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0 and run.stderr == ""
+    assert math.isclose(float(out_lines(run.stdout)["sugeno"]), 2e8 / 3, rel_tol=1e-12)
+
+
 # --- localize subcommand --------------------------------------------------------------
 
 def test_localize_sweep_csv(capsys, tmp_path):
@@ -384,6 +401,21 @@ def test_localize_density_dump_round_trips(capsys, tmp_path):
     direct = realize_density(WavefunctionSpec.gaussian(0.0, 2.0, grid_points=501))
     assert again.x_min == direct.x_min and again.x_max == direct.x_max
     assert np.array_equal(again.samples, direct.samples)
+
+
+def test_localize_realizes_the_density_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    original = GaussianWavefunction._density
+    monkeypatch.setattr(
+        GaussianWavefunction, "_density", lambda w: calls.append(w) or original(w)
+    )
+    code, out, err = run_cli(
+        capsys, "localize", "--wavefunction", "gaussian:mu=0,sigma=1",
+        "--interval", "-1,1", "--grid", "501", "--csv", str(tmp_path / "sweep.csv"),
+        "--sweep-steps", "5", "--dump-density", str(tmp_path / "density.csv"),
+    )
+    assert code == 0 and err == ""
+    assert len(calls) == 1
 
 
 def test_localize_with_time_and_domain(capsys):

@@ -22,6 +22,8 @@ from vagueq import (
     write_grid_csv,
 )
 
+from oracles import neumaier_prefix_oracle
+
 grades = st.floats(0.0, 1.0, allow_nan=False)
 
 
@@ -204,6 +206,36 @@ def test_max_over_includes_interpolated_endpoints():
     assert f.max_over(IntervalSet.interval(0.0, 0.5)) == 0.5
     assert f.max_over(IntervalSet.interval(0.25, 1.75)) == 1.0
     assert f.max_over(IntervalSet.empty()) == 0.0
+
+
+def test_prefix_is_bit_identical_to_the_sequential_neumaier_loop():
+    rng = np.random.default_rng(2005)
+    shapes = (
+        lambda n: rng.random(n),
+        lambda n: np.zeros(n),
+        lambda n: np.full(n, -0.0),
+        lambda n: np.where(rng.random(n) < 0.3, -0.0, rng.random(n)),
+        lambda n: rng.random(n) * 1e-310,  # subnormal
+        lambda n: np.full(n, rng.random()),
+        lambda n: rng.random(n) * 1e300,
+        lambda n: rng.random(n) * 1e-300,
+        lambda n: np.exp(rng.normal(size=n) * 20.0),
+        lambda n: rng.random(n) - 5e-13,  # slack below zero, clamped
+    )
+    cases = [(shape(n), n) for shape in shapes for n in (2, 3, 101, 5000)]
+    cases.append((rng.random(300_000), 300_000))
+    for samples, n in cases:
+        lo = float(rng.normal() * 10.0 ** rng.uniform(-3, 3))
+        hi = lo + float(10.0 ** rng.uniform(-3, 3))
+        got = GridFunction(lo, hi, samples)._prefix
+        assert got.tobytes() == neumaier_prefix_oracle(lo, hi, samples).tobytes(), n
+
+
+def test_grid_rejects_an_overflowing_integral_and_span():
+    with pytest.raises(ValueError, match="overflows"):
+        GridFunction(0.0, 10.0, [1e308, 1.7e308, 1e308])
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction(-1e308, 1e308, [1.0, 1.0])
 
 
 # --- text formats ------------------------------------------------------------

@@ -16,6 +16,7 @@ from vagueq import (
     measure_of,
     sugeno_integral,
 )
+from vagueq import integrals
 
 from oracles import sugeno_bruteforce_oracle
 
@@ -333,6 +334,22 @@ def test_grid_integral_empty_event_is_zero():
     pi = normal_density(n=101).scaled_by_max()
     m = MeasureSpec.possibilistic(pi)
     assert sugeno_integral(pi, IntervalSet.empty(), m) == 0.0
+
+
+def test_grid_bisection_ends_when_levels_outgrow_the_tolerance(monkeypatch):
+    # g(alpha) = 1e8 - alpha / 2 crosses the identity at 2e8 / 3, where
+    # adjacent floats lie ~1.5e-8 apart, wider than BISECTION_TOL; the
+    # bisection must stop once no float is left between its ends
+    f = GridFunction(0.0, 1.0, np.linspace(0.0, 2e8, 1001))
+    m = MeasureSpec.additive(GridFunction(0.0, 1.0, np.full(1001, 1e8)))
+    cuts = []
+    original = integrals.alpha_cut
+    monkeypatch.setattr(
+        integrals, "alpha_cut", lambda *a: cuts.append(a) or original(*a)
+    )
+    value = sugeno_integral(f, IntervalSet.interval(0.0, 1.0), m)
+    assert math.isclose(value, 2e8 / 3, rel_tol=1e-12)
+    assert len(cuts) <= 66  # one cut per halving of [0, 2e8] to one ulp, plus two
 
 
 @pytest.mark.parametrize("n", [5, 50, 300])

@@ -194,3 +194,15 @@ def test_grade_table_garbage_grade_names_the_line(tmp_path):
     path.write_text("# comment\nab,abc\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"lang\.txt:2: cannot parse grade 'abc'"):
         read_grade_table(path)
+
+
+def test_grade_table_out_of_range_grade_names_the_line(tmp_path):
+    path = tmp_path / "lang.txt"
+    path.write_text("0,1/2\nab,2\n", encoding="utf-8")
+    with pytest.raises(
+        ValueError, match=r"lang\.txt:2: grade 2 for word 'ab' outside \[0, 1\]"
+    ):
+        read_grade_table(path)
+    path.write_text("ab,-1/3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"lang\.txt:1: grade -1/3 for word 'ab'"):
+        read_grade_table(path)
