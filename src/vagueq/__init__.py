@@ -80,7 +80,6 @@ from .qubits import (
     ket0,
     ket1,
     parse_state_literal,
-    random_qubit_state,
     tensor_product,
 )
 

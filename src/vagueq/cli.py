@@ -18,6 +18,7 @@ from .fuzzy import (
     FiniteFuzzySet,
     GridFunction,
     TNormKind,
+    _write_rows,
     fuzzy_complement,
     fuzzy_intersection,
     fuzzy_union,
@@ -201,13 +202,6 @@ def _event_from_args(args) -> IntervalSet | frozenset:
     )
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 # --- handlers ---------------------------------------------------------------
 
 def _cmd_fuzzy(args) -> int:
@@ -287,7 +281,7 @@ def _cmd_localize(args) -> int:
     if args.dump_density:
         write_grid_csv(density, args.dump_density)
     if rows is not None:
-        _write_csv(args.csv, "a,b,probability,possibility", rows)
+        _write_rows(args.csv, "a,b,probability,possibility", rows)
     return 0
 
 

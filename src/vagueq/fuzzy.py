@@ -72,7 +72,10 @@ class FiniteFuzzySet:
             raise ValueError(
                 f"expected {len(labels)} grades, got shape {raw.shape}"
             )
-        vals = np.array([as_grade(v) for v in raw])
+        ok = (raw >= -GRADE_SLACK) & (raw <= 1.0 + GRADE_SLACK)  # False for NaN
+        if not ok.all():
+            raise ValueError(f"grade {float(raw[~ok][0])!r} lies outside [0, 1]")
+        vals = np.clip(raw, 0.0, 1.0)  # as as_grade does, -0.0 included
         object.__setattr__(self, "universe", labels)
         object.__setattr__(self, "grades", vals)
         self.grades.setflags(write=False)
@@ -283,6 +286,41 @@ class GridFunction:
 
 
 # --- plain-text formats ----------------------------------------------------
+# Every file format is ``key,value`` lines, read by ``_rows``: blank lines
+# and ``#`` lines are skipped, numbers must be finite, and each per-line
+# error names ``path:line``.
+
+def _rows(path, shape: str):
+    """Yield ``(lineno, key, value)`` for each line, split at its last comma."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            key, sep, value = text.rpartition(",")
+            if not sep:
+                raise ValueError(f"{path}:{lineno}: expected {shape!r}")
+            yield lineno, key.strip(), value.strip()
+
+
+def _number(path, lineno: int, what: str, text: str) -> float:
+    """``text`` as a finite float, or an error naming ``path:line``."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise ValueError(f"{path}:{lineno}: cannot parse {what} {text!r}")
+    return v
+
+
+def _write_rows(path, header: str, rows) -> None:
+    """Write ``header``, then each row as ``repr`` floats, which read back exactly."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
 
 def write_fuzzy_set(fs: FiniteFuzzySet, path) -> None:
     """Write ``label,grade`` lines (UTF-8, one element per line)."""
@@ -292,66 +330,43 @@ def write_fuzzy_set(fs: FiniteFuzzySet, path) -> None:
 
 
 def read_fuzzy_set(path) -> FiniteFuzzySet:
-    """Read ``label,grade`` lines; ``#`` starts a comment line."""
-    labels: list[str] = []
-    grades: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            label, sep, value = text.rpartition(",")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected 'label,grade'")
-            try:
-                grades.append(float(value))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: cannot parse grade {value!r}"
-                ) from None
-            labels.append(label.strip())
-    if not labels:
+    """Read ``label,grade`` lines; labels must be unique."""
+    grades: dict[str, float] = {}
+    for lineno, label, value in _rows(path, "label,grade"):
+        if label in grades:
+            raise ValueError(f"{path}:{lineno}: duplicate label {label!r}")
+        grades[label] = _number(path, lineno, "grade", value)
+    if not grades:
         raise ValueError(f"{path}: no elements found")
-    return FiniteFuzzySet(tuple(labels), np.array(grades))
+    return FiniteFuzzySet(tuple(grades), np.array(list(grades.values())))
 
 
 def write_grid_csv(f: GridFunction, path) -> None:
     """Write an ``x,value`` CSV whose floats round-trip exactly."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,value\n")
-        for x, v in zip(f.nodes, f.samples):
-            fh.write(f"{float(x)!r},{float(v)!r}\n")
+    _write_rows(path, "x,value", zip(f.nodes, f.samples))
 
 
 def read_grid_csv(path) -> GridFunction:
     """Read an ``x,value`` CSV; spacing must be uniform within 1e-9 relative."""
+    rows = _rows(path, "x,value")
+    header = next(rows, None)
+    if header is None or header[1:] != ("x", "value"):
+        got = "" if header is None else ",".join(header[1:])
+        raise ValueError(f"{path}: expected header 'x,value', got {got!r}")
     xs: list[float] = []
     vs: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "x,value":
-            raise ValueError(f"{path}: expected header 'x,value', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'x,value'")
-            try:
-                x, v = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: cannot parse number in {text!r}"
-                ) from None
-            xs.append(x)
-            vs.append(v)
+    for lineno, x, v in rows:
+        xs.append(_number(path, lineno, "x", x))
+        vs.append(_number(path, lineno, "value", v))
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least 2 rows")
     x = np.array(xs)
-    step = (x[-1] - x[0]) / (len(xs) - 1)
-    if step <= 0:
-        raise ValueError(f"{path}: x column must be strictly increasing")
-    if np.max(np.abs(np.diff(x) - step)) > 1e-9 * abs(step):
+    # comparisons first and a Python-float span, so no arithmetic overflows
+    if not (np.all(x[1:] > x[:-1]) and math.isfinite(xs[-1] - xs[0])):
+        raise ValueError(
+            f"{path}: x column must be strictly increasing over a finite span"
+        )
+    step = (xs[-1] - xs[0]) / (len(xs) - 1)
+    if np.max(np.abs(np.diff(x) - step)) > 1e-9 * step:
         raise ValueError(f"{path}: x column is not uniformly spaced")
-    return GridFunction(float(x[0]), float(x[-1]), np.array(vs))
+    return GridFunction(xs[0], xs[-1], np.array(vs))

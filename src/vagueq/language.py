@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .fuzzy import as_grade
+from .fuzzy import _rows, as_grade
 
 Grade = Fraction | float
 
@@ -147,30 +147,20 @@ def read_grade_table(path, alphabet: str | None = None) -> FuzzyLanguage:
     or left as an empty field.  Without an explicit alphabet the sorted
     set of symbols appearing in the words is used."""
     table: dict[str, Fraction] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            word, sep, value = text.rpartition(",")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected 'word,grade'")
-            word = word.strip()
-            if word == EMPTY_WORD_MARK:
-                word = ""
-            if word in table:
-                raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
-            try:
-                grade = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(
-                    f"{path}:{lineno}: cannot parse grade {value!r}"
-                ) from None
-            if not 0 <= grade <= 1:
-                raise ValueError(
-                    f"{path}:{lineno}: grade {grade} for word {word!r} outside [0, 1]"
-                )
-            table[word] = grade
+    for lineno, word, value in _rows(path, "word,grade"):
+        if word == EMPTY_WORD_MARK:
+            word = ""
+        if word in table:
+            raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
+        try:
+            grade = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{path}:{lineno}: cannot parse grade {value!r}") from None
+        if not 0 <= grade <= 1:
+            raise ValueError(
+                f"{path}:{lineno}: grade {grade} for word {word!r} outside [0, 1]"
+            )
+        table[word] = grade
     symbols = (
         tuple(alphabet)
         if alphabet is not None

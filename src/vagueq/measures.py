@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .fuzzy import FiniteFuzzySet, GridFunction, height
+from .fuzzy import FiniteFuzzySet, GridFunction, _number, _rows, height
 from .intervals import IntervalSet, union_all
 
 MAX_TABLE_UNIVERSE = 12
@@ -290,32 +290,17 @@ def write_table_measure(m: MeasureSpec, path) -> None:
 def read_table_measure(path) -> MeasureSpec:
     """Read ``e1|e2|...,value`` lines; the universe is the union of all
     labels mentioned (so the full-universe line must be present)."""
-    entries: list[tuple[frozenset, float]] = []
-    labels: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            key, sep, value = text.rpartition(",")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected 'subset,value'")
-            key = key.strip()
-            subset = (
-                frozenset()
-                if key == "{}"
-                else frozenset(part.strip() for part in key.split("|"))
-            )
-            if subset and any(not x for x in subset):
-                raise ValueError(f"{path}:{lineno}: empty label in subset")
-            try:
-                entries.append((subset, float(value)))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: cannot parse value {value!r}"
-                ) from None
-            labels |= subset
-    table = dict(entries)
-    if len(table) != len(entries):
-        raise ValueError(f"{path}: duplicate subset lines")
+    table: dict[frozenset, float] = {}
+    for lineno, key, value in _rows(path, "subset,value"):
+        subset = (
+            frozenset()
+            if key == "{}"
+            else frozenset(part.strip() for part in key.split("|"))
+        )
+        if subset and any(not x for x in subset):
+            raise ValueError(f"{path}:{lineno}: empty label in subset")
+        if subset in table:
+            raise ValueError(f"{path}:{lineno}: duplicate subset {key!r}")
+        table[subset] = _number(path, lineno, "value", value)
+    labels = frozenset().union(*table)
     return MeasureSpec.from_table(tuple(sorted(labels)), table)

@@ -201,14 +201,3 @@ def parse_state_literal(text: str) -> QubitState | TwoQubitState:
             f"amp literal needs 2 or 4 re,im pairs, got {len(nums)} numbers"
         )
     raise ValueError(f"unknown state literal {text!r}")
-
-
-def random_qubit_state(rng: np.random.Generator) -> QubitState:
-    """Haar-ish random normalized state, for tests and demos."""
-    parts = rng.normal(size=4)
-    z0 = complex(parts[0], parts[1])
-    z1 = complex(parts[2], parts[3])
-    norm = math.sqrt(abs(z0) ** 2 + abs(z1) ** 2)
-    if norm == 0.0:
-        return ket0()
-    return QubitState(z0 / norm, z1 / norm)

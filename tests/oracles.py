@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from vagueq import FiniteFuzzySet, MeasureSpec, measure_of
+from vagueq import FiniteFuzzySet, MeasureSpec, QubitState, ket0, measure_of
 
 MAX_ORACLE_UNIVERSE = 16
 
@@ -80,3 +82,14 @@ def neumaier_prefix_oracle(x_min: float, x_max: float, samples) -> np.ndarray:
         s = t
         prefix[i + 1] = s + c
     return prefix
+
+
+def random_qubit_state(rng: np.random.Generator) -> QubitState:
+    """Haar-ish random normalized state, for tests and demos."""
+    parts = rng.normal(size=4)
+    z0 = complex(parts[0], parts[1])
+    z1 = complex(parts[2], parts[3])
+    norm = math.sqrt(abs(z0) ** 2 + abs(z1) ** 2)
+    if norm == 0.0:
+        return ket0()
+    return QubitState(z0 / norm, z1 / norm)

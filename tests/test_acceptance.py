@@ -37,14 +37,13 @@ from vagueq import (
     ket1,
     localize,
     measure_of,
-    random_qubit_state,
     realize_density,
     sugeno_integral,
     tensor_product,
     zeros_then_ones_language,
 )
 
-from oracles import sugeno_bruteforce_oracle
+from oracles import random_qubit_state, sugeno_bruteforce_oracle
 
 ERF_ONE_SIGMA = 0.6826894921370859  # erf(1 / sqrt(2))
 

@@ -651,6 +651,32 @@ def test_lang_table_bad_grade_exit_1(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
+def test_bad_input_lines_exit_1_naming_path_and_line(capsys, tmp_path):
+    files = {
+        "nanx.csv": "x,value\n0,1\nnan,1\n2,1\n",
+        "grades.txt": "a,1\nb,nan\n",
+        "labels.txt": "a,1\nb,0.5\na,0.2\n",
+        "table.txt": "{},0\na,0.5\nb,0.5\nb|a,1\na|b,1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    runs = (
+        (("integrate", "lebesgue", "--density", str(tmp_path / "nanx.csv"),
+          "--interval", "0,1"), "nanx.csv:3: cannot parse x 'nan'"),
+        (("fuzzy", "complement", "--a", str(tmp_path / "grades.txt")),
+         "grades.txt:2: cannot parse grade 'nan'"),
+        (("fuzzy", "complement", "--a", str(tmp_path / "labels.txt")),
+         "labels.txt:3: duplicate label 'a'"),
+        (("measure", "eval", "--measure", f"table:path={tmp_path / 'table.txt'}",
+          "--subset", "a"), "table.txt:5: duplicate subset 'a|b'"),
+    )
+    for argv, message in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error:") and message in err, (argv, err)
+        assert err.count("\n") == 1
+
+
 def test_oversized_counts_exit_1_before_any_output(capsys, tmp_path):
     sweep_path = tmp_path / "sweep.csv"
     runs = (

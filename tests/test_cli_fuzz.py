@@ -64,10 +64,18 @@ def files(tmp_path_factory):
     (root / "huge.csv").write_text(
         "x,value\n0.0,1e308\n5.0,1.7e308\n10.0,1e308\n", encoding="utf-8"
     )
+    grid_files = {
+        "nan-x.csv": "0,1\nnan,1\n2,1\n",
+        "wide-x.csv": "-1e308,1\n0,1\n1e308,1\n",
+        "unsorted-x.csv": "-1e308,1\n1e308,1\n0,1\n",
+        "comment.csv": "# a comment\n-2,0.1\n# another\n0,0.2\n2,0.1\n",
+    }
+    for name, rows in grid_files.items():
+        (root / name).write_text("x,value\n" + rows, encoding="utf-8")
     (root / "empty.txt").write_text("", encoding="utf-8")
     (root / "dir").mkdir()
     names = ("density.csv", "pi.csv", "f.csv", "pi.txt", "f.txt", "table.txt",
-             "lang.txt", "huge.csv", "empty.txt", "dir", "missing.csv")
+             "lang.txt", "huge.csv", *grid_files, "empty.txt", "dir", "missing.csv")
     inputs = {name: str(root / name) for name in names}
     outputs = [str(root / "out.csv"), str(root / "dir"), str(root / "no" / "out.csv")]
     return inputs, outputs
@@ -266,6 +274,8 @@ def test_known_overflows_end_in_one_error_line(files):
         ["localize", "--wavefunction", "box:n=1,L=1e-320", "--interval", "0,1e-321"],
         ["qubit", "--gate", "u:1e308,0,0,0,0,0,1e308,0"],
         ["integrate", "lebesgue", "--density", inputs["huge.csv"], "--interval", "0,1"],
+        ["integrate", "lebesgue", "--density", inputs["wide-x.csv"], "--interval", "0,1"],
+        ["integrate", "lebesgue", "--density", inputs["unsorted-x.csv"], "--interval", "0,1"],
     ):
         code, out, err, caught = run(argv)
         assert code == 1 and out == "" and not caught, argv

@@ -121,6 +121,28 @@ def test_constructor_rejects_bad_grades_and_duplicates():
         FiniteFuzzySet((), [])
 
 
+def test_vectorized_grades_match_the_as_grade_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    edges = np.array([0.0, -0.0, 1.0, 1e-300, -1e-300, -1e-12, 1.0 + 1e-12,
+                      -5e-13, 1.0 + 5e-13, np.nextafter(1.0, 2.0)])
+    for n in (1, 2, 7, 300):
+        for _ in range(20):
+            raw = rng.uniform(-1e-12, 1.0 + 1e-12, size=n)
+            edge = rng.random(n) < 0.3
+            raw[edge] = rng.choice(edges, size=int(edge.sum()))
+            loop = np.array([as_grade(v) for v in raw])
+            got = FiniteFuzzySet(tuple(f"x{i}" for i in range(n)), raw).grades
+            assert got.tobytes() == loop.tobytes()
+    assert np.signbit(fs(-0.0).grades[0])
+
+
+def test_bad_grade_is_named_as_a_plain_float():
+    for bad, shown in ((1.5, "1.5"), (-1e-11, "-1e-11"), (math.nan, "nan"),
+                       (math.inf, "inf")):
+        with pytest.raises(ValueError, match=rf"^grade {shown} lies outside"):
+            fs(0.5, bad, 2.0)
+
+
 # --- algebraic properties ----------------------------------------------------
 
 @given(st.lists(st.tuples(grades, grades), min_size=1, max_size=8))
@@ -262,6 +284,17 @@ def test_fuzzy_set_read_rejects_garbage(tmp_path):
         read_fuzzy_set(path)
 
 
+def test_fuzzy_set_read_names_the_line_of_a_duplicate_or_nan(tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_text("a,0.5\n# note\nb,1\na,0.2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"set\.txt:4: duplicate label 'a'"):
+        read_fuzzy_set(path)
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"a,1\nb,{bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"set\.txt:2: cannot parse grade '{bad}'"):
+            read_fuzzy_set(path)
+
+
 def test_grid_csv_round_trip_is_exact(tmp_path):
     xs = np.linspace(-2.0, 3.0, 501)
     f = GridFunction(-2.0, 3.0, np.exp(-xs * xs))
@@ -291,3 +324,31 @@ def test_grid_csv_names_the_line_of_an_unparsable_number(tmp_path):
     path.write_text("x,value\n0.0,1.0\n1.0,abc\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"grid\.csv:3: cannot parse"):
         read_grid_csv(path)
+
+
+def test_grid_csv_skips_comment_lines(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("# sampled by hand\nx,value\n0.0,1.0\n# midpoint\n\n1.0,0.5\n"
+                    "2.0,0.0\n", encoding="utf-8")
+    g = read_grid_csv(path)
+    assert (g.x_min, g.x_max) == (0.0, 2.0)
+    assert g.samples.tolist() == [1.0, 0.5, 0.0]
+
+
+def test_grid_csv_needs_a_finite_increasing_x_column(tmp_path):
+    path = tmp_path / "grid.csv"
+    for xs, line in (("0,nan,2", 3), ("0,1,inf", 4), ("-inf,0,1", 2)):
+        path.write_text("x,value\n" + "".join(f"{x},1\n" for x in xs.split(",")),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"grid\.csv:{line}: cannot parse x"):
+            read_grid_csv(path)
+    path.write_text("x,value\n0,1\n1,nan\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"grid\.csv:3: cannot parse value 'nan'"):
+        read_grid_csv(path)
+    # a span or a neighbouring difference that overflows is rejected before
+    # any arithmetic; pytest turns a RuntimeWarning into an error
+    for xs in ("-1e308,0,1e308", "-1e308,1e308,0", "2,1,0", "0,0,0"):
+        path.write_text("x,value\n" + "".join(f"{x},1\n" for x in xs.split(",")),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="strictly increasing over a finite span"):
+            read_grid_csv(path)

@@ -291,6 +291,17 @@ def test_table_file_names_the_line_of_an_unparsable_value(tmp_path):
         read_table_measure(path)
 
 
+def test_table_file_names_the_line_of_a_duplicate_subset_or_nan(tmp_path):
+    path = tmp_path / "measure.txt"
+    path.write_text("{},0.0\na,0.25\nb,0.5\n# same subset\nb|a,1.0\na|b,1.0\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"measure\.txt:6: duplicate subset 'a\|b'"):
+        read_table_measure(path)
+    path.write_text("{},0.0\na,nan\nb,0.5\na|b,1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"measure\.txt:2: cannot parse value 'nan'"):
+        read_table_measure(path)
+
+
 # --- possibility never exceeds 1 ----------------------------------------------------
 
 def test_possibility_within_slack_above_one_is_clamped():

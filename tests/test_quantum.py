@@ -20,10 +20,11 @@ from vagueq import (
     ket0,
     ket1,
     parse_state_literal,
-    random_qubit_state,
     tensor_product,
 )
 from vagueq.qubits import MAX_DRAWS
+
+from oracles import random_qubit_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
