@@ -168,6 +168,9 @@ class GridFunction:
             raise ValueError("samples must all be finite")
         if raw.min() < -GRADE_SLACK:
             raise ValueError(f"samples must be non-negative, min is {raw.min()}")
+        # a reading adds two samples (the trapezoid's y_k + y(x)): no overflow
+        if not math.isfinite(2.0 * float(raw.max())):
+            raise ValueError(f"samples exceed half the largest float: {raw.max()}")
         vals = np.maximum(raw, 0.0)
         object.__setattr__(self, "x_min", lo)
         object.__setattr__(self, "x_max", hi)
@@ -209,36 +212,35 @@ class GridFunction:
     def full_span(self) -> IntervalSet:
         return IntervalSet.interval(self.x_min, self.x_max)
 
-    def _check_inside(self, x: float) -> float:
-        slack = 1e-12 * max(1.0, self.x_max - self.x_min)
-        if not (self.x_min - slack <= x <= self.x_max + slack):
-            raise ValueError(
-                f"point {x} outside grid span [{self.x_min}, {self.x_max}]"
-            )
-        return min(max(x, self.x_min), self.x_max)
+    def _read(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one piecewise-linear reading: at each point of ``xs``, the point
+        clamped into the span, its cell k (nodes k to k+1) and the value, clamped
+        to the cell's samples.  np.where keeps a zero's sign; np.clip may not."""
+        xs = np.asarray(xs, dtype=float)
+        lo, hi = self.x_min, self.x_max
+        if np.count_nonzero((xs >= lo) & (xs <= hi)) < xs.size:
+            slack = 1e-12 * max(1.0, hi - lo)
+            bad = xs[~((xs >= lo - slack) & (xs <= hi + slack))]
+            if bad.size:
+                raise ValueError(f"point {bad[0]} outside grid span [{lo}, {hi}]")
+            xs = np.where(hi < xs, hi, np.where(lo > xs, lo, xs))
+        k = self._nodes[1:-1].searchsorted(xs, side="right")  # 0..n-2
+        y0, y1 = self.samples[k], self.samples[1:][k]
+        v = y0 + (xs - self._nodes[k]) / self._h * (y1 - y0)
+        # when y0 == y1 no clamp fires, so the sign of a zero bound is moot
+        y_lo, y_hi = np.minimum(y0, y1), np.maximum(y0, y1)
+        return xs, k, np.where(y_lo > v, y_lo, np.where(y_hi < v, y_hi, v))
 
-    def _locate(self, x: float) -> int:
-        k = int(np.searchsorted(self._nodes, x, side="right")) - 1
-        return min(max(k, 0), self.n - 2)
+    def _cumulative(self, xs) -> np.ndarray:
+        xs, k, v = self._read(xs)
+        return self._prefix[k] + (xs - self._nodes[k]) * 0.5 * (self.samples[k] + v)
 
     def value_at(self, x: float) -> float:
         """Piecewise-linear reading at x (must lie within the span)."""
-        x = self._check_inside(x)
-        k = self._locate(x)
-        y0, y1 = self.samples[k], self.samples[k + 1]
-        t = (x - self._nodes[k]) / self._h
-        v = y0 + t * (y1 - y0)
-        # interpolation between two samples can never leave their range
-        lo, hi = (y0, y1) if y0 <= y1 else (y1, y0)
-        return float(min(max(v, lo), hi))
+        return float(self._read(x)[2])
 
     def cumulative_at(self, x: float) -> float:
-        x = self._check_inside(x)
-        k = self._locate(x)
-        yk = float(self.samples[k])
-        return float(
-            self._prefix[k] + (x - self._nodes[k]) * 0.5 * (yk + self.value_at(x))
-        )
+        return float(self._cumulative(x))
 
     def _check_intervals(self, a: IntervalSet) -> None:
         slack = 1e-12 * max(1.0, self.x_max - self.x_min)
@@ -256,10 +258,8 @@ class GridFunction:
         over disjoint pieces telescopes and additivity holds to round-off.
         """
         self._check_intervals(a)
-        return math.fsum(
-            self.cumulative_at(hi) - self.cumulative_at(lo)
-            for lo, hi in a.intervals
-        )
+        ends = self._cumulative(np.ravel(a.intervals))
+        return math.fsum((ends[1::2] - ends[::2]).tolist())
 
     def max_over(self, a: IntervalSet) -> float:
         """Supremum of the interpolant over ``a`` (0 for the empty set).
@@ -269,13 +269,16 @@ class GridFunction:
         functions attain extrema only there.
         """
         self._check_intervals(a)
+        if a.is_empty:
+            return 0.0
+        values = self._read(np.ravel(a.intervals))[2].tolist()
         best = 0.0
-        for lo, hi in a.intervals:
-            i0 = int(np.searchsorted(self._nodes, lo, side="right"))
-            i1 = int(np.searchsorted(self._nodes, hi, side="left"))
+        for (lo, hi), v_lo, v_hi in zip(a.intervals, values[::2], values[1::2]):
+            i0 = int(self._nodes.searchsorted(lo, side="right"))
+            i1 = int(self._nodes.searchsorted(hi, side="left"))
             if i1 > i0:
                 best = max(best, float(self.samples[i0:i1].max()))
-            best = max(best, self.value_at(lo), self.value_at(hi))
+            best = max(best, v_lo, v_hi)
         return best
 
     def scaled_by_max(self) -> "GridFunction":
@@ -314,6 +317,14 @@ def _number(path, lineno: int, what: str, text: str) -> float:
     return v
 
 
+def _on_line(path, lineno: int, check, *args):
+    """``check(*args)``, its ValueError prefixed with ``path:line``."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        raise ValueError(f"{path}:{lineno}: {e}") from None
+
+
 def _write_rows(path, header: str, rows) -> None:
     """Write ``header``, then each row as ``repr`` floats, which read back exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -323,7 +334,12 @@ def _write_rows(path, header: str, rows) -> None:
 
 
 def write_fuzzy_set(fs: FiniteFuzzySet, path) -> None:
-    """Write ``label,grade`` lines (UTF-8, one element per line)."""
+    """Write ``label,grade`` lines (UTF-8, one element per line).  A label the
+    reader would not read back (a leading ``#``, outer whitespace, a line
+    break) is rejected before the file is opened."""
+    for label in fs.universe:
+        if label.startswith("#") or label != label.strip() or set("\n\r") & set(label):
+            raise ValueError(f"label {label!r} would not read back")
     with open(path, "w", encoding="utf-8") as fh:
         for label, grade in fs.items():
             fh.write(f"{label},{grade!r}\n")
@@ -336,6 +352,7 @@ def read_fuzzy_set(path) -> FiniteFuzzySet:
         if label in grades:
             raise ValueError(f"{path}:{lineno}: duplicate label {label!r}")
         grades[label] = _number(path, lineno, "grade", value)
+        _on_line(path, lineno, as_grade, grades[label])
     if not grades:
         raise ValueError(f"{path}: no elements found")
     return FiniteFuzzySet(tuple(grades), np.array(list(grades.values())))

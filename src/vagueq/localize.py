@@ -20,7 +20,7 @@ import numpy as np
 from .fuzzy import GridFunction
 from .integrals import grid_tolerance, sugeno_integral
 from .intervals import IntervalSet
-from .measures import MeasureSpec, measure_of
+from .measures import MeasureSpec, PossibilityMeasure, measure_of
 from .render import format_value
 
 DEFAULT_GRID_POINTS = 10001
@@ -179,8 +179,9 @@ class LocalizationReport:
 
 def _density_on_window(
     w: WavefunctionSpec, a: float, b: float
-) -> tuple[float, float, GridFunction]:
-    """The window [a, b) as floats and w's density, checked to contain it."""
+) -> tuple[float, float, GridFunction, GridFunction, PossibilityMeasure]:
+    """The window [a, b) as floats, w's density, checked to contain it, the
+    density rescaled by its supremum (pi) and pi's possibility measure."""
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
@@ -190,19 +191,18 @@ def _density_on_window(
             f"interval [{a}, {b}) outside the domain "
             f"[{density.x_min}, {density.x_max}]"
         )
-    return a, b, density
+    pi = density.scaled_by_max()
+    return a, b, density, pi, MeasureSpec.possibilistic(pi)
 
 
 def localize(
     w: WavefunctionSpec, a: float, b: float, time: float = 0.0
 ) -> LocalizationReport:
     """Probability and possibility of finding the particle in [a, b)."""
-    a, b, density = _density_on_window(w, a, b)
+    a, b, density, pi, pi_measure = _density_on_window(w, a, b)
     window = IntervalSet.interval(a, b)
     probability = density.integral_over(window)
     density_norm = density.integral_over(density.full_span())
-    pi = density.scaled_by_max()
-    pi_measure = MeasureSpec.possibilistic(pi)
     possibility = measure_of(pi_measure, window)
     possibility_sugeno = sugeno_integral(pi, window, pi_measure)
     return LocalizationReport(
@@ -223,23 +223,21 @@ def localization_sweep(
     """Rows (a, x, probability, possibility) for x sweeping from a to b.
 
     The density and its possibility rescaling are realized once and every
-    window [a, x) is measured against them, which is what a plot of
-    additive vs possibilistic localization wants.
+    window [a, x) is measured against them in one array pass, which is
+    what a plot of additive vs possibilistic localization wants.
     """
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"steps must be in 1..{MAX_SWEEP_STEPS}, got {steps}")
-    a, b, density = _density_on_window(w, a, b)
-    pi = density.scaled_by_max()
-    pi_measure = MeasureSpec.possibilistic(pi)
-    rows = []
-    for x in np.linspace(a, b, steps + 1)[1:]:
-        window = IntervalSet.interval(a, float(x))
-        rows.append(
-            (
-                a,
-                float(x),
-                density.integral_over(window),
-                measure_of(pi_measure, window),
-            )
-        )
-    return rows
+    a, b, density, pi, _ = _density_on_window(w, a, b)
+    xs = np.linspace(a, b, steps + 1)[1:]
+    IntervalSet.interval(a, float(xs[0]))  # fails for steps finer than the floats
+    ends = np.append(a, xs)
+    cumulative = density._cumulative(ends)
+    # as max_over reads pi over [a, x): pi(a), pi at the nodes inside, pi(x)
+    values = pi._read(ends)[2]
+    first = np.searchsorted(pi.nodes, a, side="right")
+    running = np.maximum.accumulate(np.append(values[0], pi.samples[first:]))
+    sup = np.maximum(running[np.searchsorted(pi.nodes, xs) - first], values[1:])
+    probability = (cumulative[1:] - cumulative[0]).tolist()
+    possibility = np.where(sup > 0.0, sup, 0.0).tolist()  # a zero as +0.0, as max_over
+    return list(zip([a] * steps, xs.tolist(), probability, possibility))

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .fuzzy import FiniteFuzzySet, GridFunction, _number, _rows, height
+from .fuzzy import FiniteFuzzySet, GridFunction, _number, _on_line, _rows, height
 from .intervals import IntervalSet, union_all
 
 MAX_TABLE_UNIVERSE = 12
@@ -38,6 +38,13 @@ def label_subset(universe: tuple[str, ...], a) -> frozenset:
     if foreign:
         raise ValueError(f"subset contains labels outside the domain: {sorted(foreign)}")
     return subset
+
+
+def _table_value(subset: frozenset, value) -> float:
+    v = float(value)
+    if math.isnan(v) or v < 0.0:
+        raise ValueError(f"table value for {sorted(subset)} must be >= 0")
+    return v
 
 
 def _require_universe(mine: tuple[str, ...], theirs: tuple[str, ...]) -> None:
@@ -84,10 +91,7 @@ class MeasureSpec:
                 raise ValueError(f"table subset contains foreign labels {extra}")
             if subset in canon:
                 raise ValueError(f"duplicate table entry for {sorted(subset)}")
-            v = float(value)
-            if math.isnan(v) or v < 0.0:
-                raise ValueError(f"table value for {sorted(subset)} must be >= 0")
-            canon[subset] = v
+            canon[subset] = _table_value(subset, value)
         return TableMeasure(labels, canon)
 
     def _prefix_values(self, universe: tuple[str, ...], labels: list[str]):
@@ -302,5 +306,6 @@ def read_table_measure(path) -> MeasureSpec:
         if subset in table:
             raise ValueError(f"{path}:{lineno}: duplicate subset {key!r}")
         table[subset] = _number(path, lineno, "value", value)
+        _on_line(path, lineno, _table_value, subset, table[subset])
     labels = frozenset().union(*table)
     return MeasureSpec.from_table(tuple(sorted(labels)), table)

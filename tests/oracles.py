@@ -6,7 +6,16 @@ import math
 
 import numpy as np
 
-from vagueq import FiniteFuzzySet, MeasureSpec, QubitState, ket0, measure_of
+from vagueq import (
+    FiniteFuzzySet,
+    GridFunction,
+    IntervalSet,
+    MeasureSpec,
+    QubitState,
+    ket0,
+    measure_of,
+)
+from vagueq.localize import MAX_SWEEP_STEPS, WavefunctionSpec, _density_on_window
 
 MAX_ORACLE_UNIVERSE = 16
 
@@ -82,6 +91,86 @@ def neumaier_prefix_oracle(x_min: float, x_max: float, samples) -> np.ndarray:
         s = t
         prefix[i + 1] = s + c
     return prefix
+
+
+def _inside_loop(f: GridFunction, x: float) -> float:
+    slack = 1e-12 * max(1.0, f.x_max - f.x_min)
+    if not (f.x_min - slack <= x <= f.x_max + slack):
+        raise ValueError(f"point {x} outside grid span [{f.x_min}, {f.x_max}]")
+    return min(max(x, f.x_min), f.x_max)
+
+
+def _cell_loop(f: GridFunction, x: float) -> int:
+    k = int(np.searchsorted(f.nodes, x, side="right")) - 1
+    return min(max(k, 0), f.n - 2)
+
+
+def value_at_loop(f: GridFunction, x: float) -> float:
+    """``GridFunction.value_at`` as one scalar read: clamp x into the span,
+    find its cell, interpolate, clamp to the cell's two samples.
+
+    The reference for the array reading, which must match it bit for bit.
+    """
+    x = _inside_loop(f, x)
+    k = _cell_loop(f, x)
+    y0, y1 = f.samples[k], f.samples[k + 1]
+    t = (x - f.nodes[k]) / f.spacing
+    v = y0 + t * (y1 - y0)
+    # interpolation between two samples can never leave their range
+    lo, hi = (y0, y1) if y0 <= y1 else (y1, y0)
+    return float(min(max(v, lo), hi))
+
+
+def cumulative_at_loop(f: GridFunction, x: float) -> float:
+    """``GridFunction.cumulative_at`` as one scalar read on top of
+    ``value_at_loop``: the prefix at x's cell plus one trapezoid."""
+    x = _inside_loop(f, x)
+    k = _cell_loop(f, x)
+    yk = float(f.samples[k])
+    return float(f._prefix[k] + (x - f.nodes[k]) * 0.5 * (yk + value_at_loop(f, x)))
+
+
+def integral_over_loop(f: GridFunction, a: IntervalSet) -> float:
+    """``GridFunction.integral_over`` piece by piece on the scalar reads."""
+    return math.fsum(
+        cumulative_at_loop(f, hi) - cumulative_at_loop(f, lo) for lo, hi in a.intervals
+    )
+
+
+def max_over_loop(f: GridFunction, a: IntervalSet) -> float:
+    """``GridFunction.max_over`` piece by piece on the scalar reads."""
+    best = 0.0
+    for lo, hi in a.intervals:
+        i0 = int(np.searchsorted(f.nodes, lo, side="right"))
+        i1 = int(np.searchsorted(f.nodes, hi, side="left"))
+        if i1 > i0:
+            best = max(best, float(f.samples[i0:i1].max()))
+        best = max(best, value_at_loop(f, lo), value_at_loop(f, hi))
+    return best
+
+
+def localization_sweep_loop(
+    w: WavefunctionSpec, a: float, b: float, steps: int = 200
+) -> list[tuple[float, float, float, float]]:
+    """``localization_sweep`` as one ``integral_over`` and one ``measure_of``
+    call per window [a, x): the reference for the array pass."""
+    if not 1 <= steps <= MAX_SWEEP_STEPS:
+        raise ValueError(f"steps must be in 1..{MAX_SWEEP_STEPS}, got {steps}")
+    a, b, density, _, _ = _density_on_window(w, a, b)
+    pi = density.scaled_by_max()
+    pi_measure = MeasureSpec.possibilistic(pi)
+    rows = []
+    for x in np.linspace(a, b, steps + 1)[1:]:
+        window = IntervalSet.interval(a, float(x))
+        rows.append(
+            (
+                a,
+                float(x),
+                density.integral_over(window),
+                measure_of(pi_measure, window),
+            )
+        )
+    return rows
 
 
 def random_qubit_state(rng: np.random.Generator) -> QubitState:

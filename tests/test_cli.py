@@ -657,6 +657,8 @@ def test_bad_input_lines_exit_1_naming_path_and_line(capsys, tmp_path):
         "grades.txt": "a,1\nb,nan\n",
         "labels.txt": "a,1\nb,0.5\na,0.2\n",
         "table.txt": "{},0\na,0.5\nb,0.5\nb|a,1\na|b,1\n",
+        "range.txt": "x1,0.5\nx2,1.5\n",
+        "negative.txt": "{},0\na,-0.5\nb,0.5\na|b,1\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -669,6 +671,10 @@ def test_bad_input_lines_exit_1_naming_path_and_line(capsys, tmp_path):
          "labels.txt:3: duplicate label 'a'"),
         (("measure", "eval", "--measure", f"table:path={tmp_path / 'table.txt'}",
           "--subset", "a"), "table.txt:5: duplicate subset 'a|b'"),
+        (("fuzzy", "complement", "--a", str(tmp_path / "range.txt")),
+         "range.txt:2: grade 1.5 lies outside [0, 1]"),
+        (("measure", "eval", "--measure", f"table:path={tmp_path / 'negative.txt'}",
+          "--subset", "a"), "negative.txt:2: table value for ['a'] must be >= 0"),
     )
     for argv, message in runs:
         code, out, err = run_cli(capsys, *argv)

@@ -69,6 +69,7 @@ def files(tmp_path_factory):
         "wide-x.csv": "-1e308,1\n0,1\n1e308,1\n",
         "unsorted-x.csv": "-1e308,1\n1e308,1\n0,1\n",
         "comment.csv": "# a comment\n-2,0.1\n# another\n0,0.2\n2,0.1\n",
+        "half-max.csv": "0,1e308\n1,0\n",
     }
     for name, rows in grid_files.items():
         (root / name).write_text("x,value\n" + rows, encoding="utf-8")
@@ -276,6 +277,7 @@ def test_known_overflows_end_in_one_error_line(files):
         ["integrate", "lebesgue", "--density", inputs["huge.csv"], "--interval", "0,1"],
         ["integrate", "lebesgue", "--density", inputs["wide-x.csv"], "--interval", "0,1"],
         ["integrate", "lebesgue", "--density", inputs["unsorted-x.csv"], "--interval", "0,1"],
+        ["integrate", "lebesgue", "--density", inputs["half-max.csv"], "--interval", "0,0.5"],
     ):
         code, out, err, caught = run(argv)
         assert code == 1 and out == "" and not caught, argv

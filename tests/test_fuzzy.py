@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from vagueq import (
     write_grid_csv,
 )
 
-from oracles import neumaier_prefix_oracle
+from oracles import (
+    cumulative_at_loop,
+    integral_over_loop,
+    max_over_loop,
+    neumaier_prefix_oracle,
+    value_at_loop,
+)
 
 grades = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -254,10 +261,67 @@ def test_prefix_is_bit_identical_to_the_sequential_neumaier_loop():
 
 
 def test_grid_rejects_an_overflowing_integral_and_span():
-    with pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(ValueError, match="half the largest float"):
         GridFunction(0.0, 10.0, [1e308, 1.7e308, 1e308])
+    with pytest.raises(ValueError, match="half the largest float"):
+        GridFunction(0.0, 1.0, [1e308, 0.0])  # its reading y_k + y(x) overflows
+    with pytest.raises(ValueError, match="overflows"):
+        GridFunction(0.0, 1e308, [10.0, 10.0])
     with pytest.raises(ValueError, match="finite"):
         GridFunction(-1e308, 1e308, [1.0, 1.0])
+
+
+def _reading_cases(rng):
+    """Seeded grids with points and interval sets to read them at: nodes,
+    domain ends, points and piece ends inside the 1e-12 span slack."""
+    shapes = (
+        lambda n: rng.random(n),
+        lambda n: np.round(rng.random(n) * 3.0) / 3.0,  # plateaus
+        lambda n: np.where(rng.random(n) < 0.4, -0.0, rng.random(n)),
+        lambda n: np.where(rng.random(n) < 0.4, 0.0, rng.random(n) * 1e300),
+        lambda n: rng.random(n) * 1e-310,  # subnormal
+    )
+    for shape in shapes:
+        for n in (2, 3, 101, 20001):
+            lo = float(rng.choice([0.0, -0.0, -1.0, 1e-3, -123.456]))
+            hi = lo + float(rng.choice([1.0, 2.5, 1e-6, 1000.0]))
+            f = GridFunction(lo, hi, shape(n))
+            slack = 1e-12 * max(1.0, hi - lo)
+            points = np.concatenate((
+                f.nodes[rng.integers(0, n, 6)],
+                lo + (hi - lo) * rng.random(12),
+                [lo, hi, -0.0, lo - 0.5 * slack, hi + 0.5 * slack],
+            ))
+            points = [float(x) for x in points if lo - slack <= x <= hi + slack]
+            events = [IntervalSet.empty(), IntervalSet.interval(lo - 0.5 * slack, hi + 0.5 * slack)]
+            for _ in range(12):
+                cuts = sorted(rng.choice(points, 2 * int(rng.integers(1, 4)), replace=True))
+                events.append(IntervalSet.from_pairs(zip(cuts[::2], cuts[1::2])))
+            yield f, points, events
+
+
+def test_array_reading_matches_the_scalar_loop_bit_for_bit():
+    for f, points, events in _reading_cases(np.random.default_rng(2006)):
+        values = [value_at_loop(f, x) for x in points]
+        cumulative = [cumulative_at_loop(f, x) for x in points]
+        assert [repr(f.value_at(x)) for x in points] == [repr(v) for v in values]
+        assert [repr(f.cumulative_at(x)) for x in points] == [repr(c) for c in cumulative]
+        assert f._read(points)[2].tobytes() == np.array(values).tobytes()
+        assert f._cumulative(points).tobytes() == np.array(cumulative).tobytes()
+        for a in events:
+            assert repr(f.integral_over(a)) == repr(integral_over_loop(f, a)), a
+            assert repr(f.max_over(a)) == repr(max_over_loop(f, a)), a
+
+
+def test_array_reading_rejects_a_point_past_the_slack():
+    f = GridFunction(0.0, 2.0, [0.0, 1.0, 0.0])
+    for x in (-1e-11, 2.0 + 1e-11, float("nan")):
+        with pytest.raises(ValueError, match=f"point {x} outside grid span"):
+            f.value_at(x)
+        with pytest.raises(ValueError, match=f"point {x} outside grid span"):
+            f.cumulative_at(x)
+        with pytest.raises(ValueError, match=f"point {x} outside grid span"):
+            f._read([1.0, x])
 
 
 # --- text formats ------------------------------------------------------------
@@ -267,6 +331,14 @@ def test_fuzzy_set_round_trip(tmp_path):
     path = tmp_path / "set.txt"
     write_fuzzy_set(original, path)
     assert read_fuzzy_set(path) == original
+
+
+def test_fuzzy_set_writer_rejects_labels_that_would_not_read_back(tmp_path):
+    path = tmp_path / "set.txt"
+    for label in ("#a", " b", "b ", "\tb", "a\nb", "a\rb"):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            write_fuzzy_set(fs(0.5, 1.0, labels=(label, "c")), path)
+        assert not path.exists()
 
 
 def test_fuzzy_set_read_skips_comments(tmp_path):
@@ -293,6 +365,9 @@ def test_fuzzy_set_read_names_the_line_of_a_duplicate_or_nan(tmp_path):
         path.write_text(f"a,1\nb,{bad}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"set\.txt:2: cannot parse grade '{bad}'"):
             read_fuzzy_set(path)
+    path.write_text("x1,0.5\nx2,1.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"set\.txt:2: grade 1\.5 lies outside \[0, 1\]"):
+        read_fuzzy_set(path)
 
 
 def test_grid_csv_round_trip_is_exact(tmp_path):

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -6,13 +8,17 @@ import pytest
 
 from vagueq import (
     GridFunction,
+    IntervalSet,
     LocalizationReport,
     WavefunctionSpec,
     localization_sweep,
     localize,
     realize_density,
 )
-from vagueq.localize import MAX_GRID_POINTS, MAX_SWEEP_STEPS
+from vagueq.localize import MAX_GRID_POINTS, MAX_SWEEP_STEPS, _density_on_window
+from vagueq.measures import measure_of
+
+from oracles import localization_sweep_loop
 
 PEAK_STANDARD_NORMAL = 0.3989422804014327  # 1 / sqrt(2 pi)
 MASS_MINUS1_TO_1 = 0.6826894921370859  # erf(1 / sqrt(2))
@@ -238,3 +244,68 @@ def test_sweep_argument_errors():
         localization_sweep(w, -9.0, 1.0)
     with pytest.raises(ValueError, match="steps"):
         localization_sweep(w, -1.0, 1.0, steps=MAX_SWEEP_STEPS + 1)
+
+
+def _sweep_cases():
+    """Gaussian, box and sampled densities, each with a window over the
+    whole domain, one from node to node and one between nodes."""
+    rng = np.random.default_rng(2007)
+    samples = np.round(rng.random(301) * 4.0) / 4.0  # plateaus, zeros included
+    samples[rng.random(301) < 0.2] = -0.0
+    samples[150] = 1.0
+    for w in (
+        WavefunctionSpec.gaussian(0.3, 0.7, grid_points=2001),
+        WavefunctionSpec.box_eigenstate(3, 2.0, grid_points=1001),
+        WavefunctionSpec.from_samples(GridFunction(-1.0, 2.0, samples)),
+    ):
+        nodes = realize_density(w).nodes
+        lo, hi = float(nodes[0]), float(nodes[-1])
+        yield w, lo, hi
+        yield w, float(nodes[3]), float(nodes[-40])
+        yield w, lo + 0.3 * (hi - lo), lo + 0.61 * (hi - lo)
+
+
+def test_sweep_rows_equal_the_per_window_loop():
+    for w, a, b in _sweep_cases():
+        for steps in (1, 7, 777):
+            assert localization_sweep(w, a, b, steps) == localization_sweep_loop(w, a, b, steps)
+
+
+def test_sweep_at_the_step_cap_equals_the_per_window_reads():
+    # the whole loop at the cap takes seconds; every 97th window and the
+    # last ones are measured one by one as the loop measures them
+    for w, a, b in _sweep_cases():
+        rows = localization_sweep(w, a, b, MAX_SWEEP_STEPS)
+        _, _, density, _, pi_measure = _density_on_window(w, a, b)
+        assert [row[1] for row in rows] == np.linspace(a, b, MAX_SWEEP_STEPS + 1)[1:].tolist()
+        for i in [*range(0, MAX_SWEEP_STEPS, 97), MAX_SWEEP_STEPS - 2, MAX_SWEEP_STEPS - 1]:
+            window = IntervalSet.interval(a, rows[i][1])
+            want = (a, rows[i][1], density.integral_over(window), measure_of(pi_measure, window))
+            assert rows[i] == want, i
+
+
+def test_sweep_steps_finer_than_the_floats_fail_as_the_loop_does():
+    w = WavefunctionSpec.gaussian(1.0, 1.0, grid_points=101)
+    b = float(np.nextafter(1.0, 2.0))
+    for sweep in (localization_sweep, localization_sweep_loop):
+        with pytest.raises(ValueError, match=r"interval \[1\.0, 1\.0\) is empty"):
+            sweep(w, 1.0, b, 7)
+
+
+def test_sweep_makes_no_per_window_query(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    for name in ("integral_over", "max_over"):
+        monkeypatch.setattr(GridFunction, name, counted(name, getattr(GridFunction, name)))
+    # the package attribute vagueq.localize is the function, not the module
+    module = importlib.import_module("vagueq.localize")
+    monkeypatch.setattr(module, "measure_of", counted("measure_of", module.measure_of))
+    w = WavefunctionSpec.gaussian(0.0, 1.0, grid_points=501)
+    localization_sweep(w, -1.0, 1.0, steps=5)
+    few = dict(calls)
+    calls.clear()
+    localization_sweep(w, -1.0, 1.0, steps=500)
+    assert dict(calls) == few
