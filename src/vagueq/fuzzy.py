@@ -177,6 +177,10 @@ class GridFunction:
         object.__setattr__(self, "samples", vals)
         self.samples.setflags(write=False)
         nodes = np.linspace(lo, hi, vals.size)
+        if not np.all(nodes[1:] > nodes[:-1]):
+            raise ValueError(
+                f"{vals.size} nodes are not strictly increasing floats in [{lo}, {hi}]"
+            )
         h = (hi - lo) / (vals.size - 1)
         # cumulative trapezoid at nodes; shared by every integral query so
         # that integrals over abutting intervals telescope.  Compensated
@@ -242,22 +246,12 @@ class GridFunction:
     def cumulative_at(self, x: float) -> float:
         return float(self._cumulative(x))
 
-    def _check_intervals(self, a: IntervalSet) -> None:
-        slack = 1e-12 * max(1.0, self.x_max - self.x_min)
-        for lo, hi in a.intervals:
-            if lo < self.x_min - slack or hi > self.x_max + slack:
-                raise ValueError(
-                    f"interval [{lo}, {hi}) outside grid span "
-                    f"[{self.x_min}, {self.x_max}]"
-                )
-
     def integral_over(self, a: IntervalSet) -> float:
         """Exact integral of the piecewise-linear interpolant over ``a``.
 
         Computed as differences of the cumulative trapezoid, so the sum
         over disjoint pieces telescopes and additivity holds to round-off.
         """
-        self._check_intervals(a)
         ends = self._cumulative(np.ravel(a.intervals))
         return math.fsum((ends[1::2] - ends[::2]).tolist())
 
@@ -268,7 +262,6 @@ class GridFunction:
         and the interpolated values at the two endpoints; piecewise-linear
         functions attain extrema only there.
         """
-        self._check_intervals(a)
         if a.is_empty:
             return 0.0
         values = self._read(np.ravel(a.intervals))[2].tolist()
@@ -291,7 +284,8 @@ class GridFunction:
 # --- plain-text formats ----------------------------------------------------
 # Every file format is ``key,value`` lines, read by ``_rows``: blank lines
 # and ``#`` lines are skipped, numbers must be finite, and each per-line
-# error names ``path:line``.
+# error names ``path:line``.  ``_write_rows`` writes them all, and each
+# writer first refuses what its reader would not read back.
 
 def _rows(path, shape: str):
     """Yield ``(lineno, key, value)`` for each line, split at its last comma."""
@@ -325,24 +319,31 @@ def _on_line(path, lineno: int, check, *args):
         raise ValueError(f"{path}:{lineno}: {e}") from None
 
 
-def _write_rows(path, header: str, rows) -> None:
-    """Write ``header``, then each row as ``repr`` floats, which read back exactly."""
+def _write_rows(path, rows, header: str | None = None) -> None:
+    """The one writer: ``header`` if given, then each row's cells joined by
+    commas, a string as it is and a number as its ``repr`` float, which
+    reads back exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+        if header is not None:
+            fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            cells = (c if isinstance(c, str) else repr(float(c)) for c in row)
+            fh.write(",".join(cells) + "\n")
+
+
+def _readable(label: str) -> str:
+    """``label`` if ``_rows`` reads it back as written: no leading ``#``, no
+    outer whitespace, no line break.  Writers call it before the file is
+    opened, so a refused label leaves no file behind."""
+    if label.startswith("#") or label != label.strip() or set("\n\r") & set(label):
+        raise ValueError(f"label {label!r} would not read back")
+    return label
 
 
 def write_fuzzy_set(fs: FiniteFuzzySet, path) -> None:
-    """Write ``label,grade`` lines (UTF-8, one element per line).  A label the
-    reader would not read back (a leading ``#``, outer whitespace, a line
-    break) is rejected before the file is opened."""
-    for label in fs.universe:
-        if label.startswith("#") or label != label.strip() or set("\n\r") & set(label):
-            raise ValueError(f"label {label!r} would not read back")
-    with open(path, "w", encoding="utf-8") as fh:
-        for label, grade in fs.items():
-            fh.write(f"{label},{grade!r}\n")
+    """Write ``label,grade`` lines (UTF-8, one element per line); a label the
+    reader would not read back is rejected."""
+    _write_rows(path, [(_readable(label), grade) for label, grade in fs.items()])
 
 
 def read_fuzzy_set(path) -> FiniteFuzzySet:
@@ -360,11 +361,13 @@ def read_fuzzy_set(path) -> FiniteFuzzySet:
 
 def write_grid_csv(f: GridFunction, path) -> None:
     """Write an ``x,value`` CSV whose floats round-trip exactly."""
-    _write_rows(path, "x,value", zip(f.nodes, f.samples))
+    _write_rows(path, zip(f.nodes, f.samples), "x,value")
 
 
 def read_grid_csv(path) -> GridFunction:
-    """Read an ``x,value`` CSV; spacing must be uniform within 1e-9 relative."""
+    """Read an ``x,value`` CSV whose x column is the grid's own nodes,
+    ``np.linspace(x0, xn, n)``, to within 1e-9 of a step or one ulp of the
+    largest |x|, whichever is coarser (``x0 + k*h`` passes too)."""
     rows = _rows(path, "x,value")
     header = next(rows, None)
     if header is None or header[1:] != ("x", "value"):
@@ -383,7 +386,8 @@ def read_grid_csv(path) -> GridFunction:
         raise ValueError(
             f"{path}: x column must be strictly increasing over a finite span"
         )
-    step = (xs[-1] - xs[0]) / (len(xs) - 1)
-    if np.max(np.abs(np.diff(x) - step)) > 1e-9 * step:
+    f = GridFunction(xs[0], xs[-1], np.array(vs))
+    bound = max(1e-9 * f.spacing, float(np.spacing(max(abs(xs[0]), abs(xs[-1])))))
+    if np.max(np.abs(x - f.nodes)) > bound:
         raise ValueError(f"{path}: x column is not uniformly spaced")
-    return GridFunction(xs[0], xs[-1], np.array(vs))
+    return f

@@ -112,8 +112,10 @@ def _sugeno_finite(f: FiniteFuzzySet, a, m: MeasureSpec) -> float:
 
 
 def _sugeno_grid(f: GridFunction, a: IntervalSet, m: MeasureSpec) -> float:
-    m._event(a)  # a finite measure rejects interval events, before any early return
-    f._check_intervals(a)
+    # before any early return: a finite measure rejects interval events, and
+    # reading the event's ends rejects one outside f's span
+    m._event(a)
+    f._read(np.ravel(a.intervals))
 
     def g(alpha: float) -> float:
         cut = alpha_cut(f, alpha).cut

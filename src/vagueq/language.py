@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .fuzzy import _rows, as_grade
+from .fuzzy import _on_line, _readable, _rows, _write_rows, as_grade
 
 Grade = Fraction | float
 
@@ -114,6 +114,18 @@ def zeros_then_ones_language() -> FuzzyLanguage:
     return FuzzyLanguage(("0", "1"), zeros_then_ones_grade)
 
 
+def _table_grade(word: str, value) -> Fraction:
+    """The one grade rule of grade tables: ``value`` as an exact Fraction in
+    [0, 1], parsed from its ``str`` unless it is a Fraction already."""
+    try:
+        v = value if isinstance(value, Fraction) else Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse grade {value!r} for word {word!r}") from None
+    if not 0 <= v <= 1:
+        raise ValueError(f"grade {value} for word {word!r} outside [0, 1]")
+    return v
+
+
 def language_from_table(
     alphabet: tuple[str, ...] | str, table: dict[str, float]
 ) -> FuzzyLanguage:
@@ -132,10 +144,7 @@ def language_from_table(
                     f"word {w!r} uses symbol {symbol!r} at position {pos}, "
                     f"not in the alphabet {''.join(symbols)!r}"
                 )
-        v = Fraction(str(value)) if not isinstance(value, Fraction) else value
-        if not 0 <= v <= 1:
-            raise ValueError(f"grade {value} for word {w!r} outside [0, 1]")
-        frozen[w] = v
+        frozen[w] = _table_grade(w, value)
     return FuzzyLanguage(symbols, lambda w: frozen.get(w, Fraction(0)))
 
 
@@ -152,15 +161,7 @@ def read_grade_table(path, alphabet: str | None = None) -> FuzzyLanguage:
             word = ""
         if word in table:
             raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
-        try:
-            grade = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{path}:{lineno}: cannot parse grade {value!r}") from None
-        if not 0 <= grade <= 1:
-            raise ValueError(
-                f"{path}:{lineno}: grade {grade} for word {word!r} outside [0, 1]"
-            )
-        table[word] = grade
+        table[word] = _on_line(path, lineno, _table_grade, word, value)
     symbols = (
         tuple(alphabet)
         if alphabet is not None
@@ -172,8 +173,13 @@ def read_grade_table(path, alphabet: str | None = None) -> FuzzyLanguage:
 
 
 def write_grade_table(language_table: dict[str, float], path) -> None:
-    """Write ``word,grade`` lines; the empty word is written as an epsilon."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in sorted(language_table):
-            shown = word if word else EMPTY_WORD_MARK
-            fh.write(f"{shown},{language_table[word]}\n")
+    """Write ``word,grade`` lines; the empty word is written as an epsilon.
+    A word the reader would not read back (a literal epsilon among them) or
+    a grade outside the grade rule is rejected."""
+    rows = []
+    for word, grade in sorted(language_table.items()):
+        if word == EMPTY_WORD_MARK:
+            raise ValueError(f"word {word!r} would not read back: it marks the empty word")
+        _table_grade(word, grade)
+        rows.append((_readable(word) or EMPTY_WORD_MARK, str(grade)))
+    _write_rows(path, rows)

@@ -230,7 +230,8 @@ def localization_sweep(
         raise ValueError(f"steps must be in 1..{MAX_SWEEP_STEPS}, got {steps}")
     a, b, density, pi, _ = _density_on_window(w, a, b)
     xs = np.linspace(a, b, steps + 1)[1:]
-    IntervalSet.interval(a, float(xs[0]))  # fails for steps finer than the floats
+    if not a < xs[0]:
+        raise ValueError(f"{steps} sweep steps are finer than the floats in [{a}, {b})")
     ends = np.append(a, xs)
     cumulative = density._cumulative(ends)
     # as max_over reads pi over [a, x): pi(a), pi at the nodes inside, pi(x)

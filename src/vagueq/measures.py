@@ -17,7 +17,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .fuzzy import FiniteFuzzySet, GridFunction, _number, _on_line, _rows, height
+from .fuzzy import (
+    FiniteFuzzySet, GridFunction, _number, _on_line, _readable, _rows, _write_rows, height
+)
 from .intervals import IntervalSet, union_all
 
 MAX_TABLE_UNIVERSE = 12
@@ -276,19 +278,25 @@ def check_additivity(
 
 # --- table text format -----------------------------------------------------
 
+def _table_label(label: str) -> str:
+    """``label`` if a table line reads it back: ``_readable``, and neither
+    empty, ``{}`` nor holding a ``|``."""
+    if not label or label == "{}" or "|" in label:
+        raise ValueError(f"table label {label!r} would not read back")
+    return _readable(label)
+
+
 def write_table_measure(m: MeasureSpec, path) -> None:
-    """Write ``e1|e2|...,value`` lines, one subset per line; {} is empty."""
+    """Write ``e1|e2|...,value`` lines, one subset per line; {} is empty.  A
+    label the reader would not read back is rejected."""
     if not isinstance(m, TableMeasure):
         raise ValueError("only table measures have a table text form")
-    order = {label: i for i, label in enumerate(m.universe)}
-    with open(path, "w", encoding="utf-8") as fh:
-        for subset in sorted(
-            m.table, key=lambda s: (len(s), sorted(order[x] for x in s))
-        ):
-            key = "{}" if not subset else "|".join(
-                sorted(subset, key=order.__getitem__)
-            )
-            fh.write(f"{key},{m.table[subset]!r}\n")
+    order = {_table_label(label): i for i, label in enumerate(m.universe)}
+    subsets = sorted(m.table, key=lambda s: (len(s), sorted(order[x] for x in s)))
+    _write_rows(path, [
+        ("|".join(sorted(s, key=order.__getitem__)) or "{}", _table_value(s, m.table[s]))
+        for s in subsets
+    ])
 
 
 def read_table_measure(path) -> MeasureSpec:

@@ -253,6 +253,21 @@ def test_measure_check_maxitivity(capsys, tmp_path):
     assert out_lines(out)["holds"] == "true"
 
 
+def test_measure_check_tol_reaches_both_checks(capsys, tmp_path, normal_csv):
+    xs = np.linspace(-8.0, 8.0, 2001)
+    pi_path = tmp_path / "pi.csv"
+    write_grid_csv(GridFunction(-8.0, 8.0, np.exp(-0.5 * xs * xs)), pi_path)
+    for measure, check in ((f"possibilistic:grid={pi_path}", "maxitivity"),
+                           (f"additive:density={normal_csv}", "additivity")):
+        argv = ("measure", "check", "--measure", measure, "--check", check,
+                "--parts", "-2,-1;0,3")
+        # unset, each check keeps its own tolerance; a negative one holds for nothing
+        for tol, holds in (((), "true"), (("--tol", "1e-6"), "true"), (("--tol", "-1"), "false")):
+            code, out, err = run_cli(capsys, *argv, *tol)
+            assert (code, err) == (0, "")
+            assert out_lines(out)["holds"] == holds, (check, tol)
+
+
 def test_measure_check_additivity(capsys, normal_csv):
     code, out, _ = run_cli(
         capsys,
@@ -401,6 +416,29 @@ def test_localize_density_dump_round_trips(capsys, tmp_path):
     direct = realize_density(WavefunctionSpec.gaussian(0.0, 2.0, grid_points=501))
     assert again.x_min == direct.x_min and again.x_max == direct.x_max
     assert np.array_equal(again.samples, direct.samples)
+
+
+def test_localize_density_dump_at_a_large_mean_reads_back(capsys, tmp_path):
+    # one ulp of x exceeds a billionth of a step here
+    dump = tmp_path / "d.csv"
+    window = ("--interval", "100,100.0001")
+    code, first, err = run_cli(capsys, "localize", "--wavefunction",
+                               "gaussian:mu=100,sigma=1e-4", *window, "--dump-density", str(dump))
+    assert (code, err) == (0, "")
+    code, again, err = run_cli(capsys, "localize", "--wavefunction", f"samples:path={dump}", *window)
+    assert (code, err) == (0, "")
+    assert again == first
+
+
+def test_localize_sweep_steps_finer_than_the_floats_exit_1(capsys, tmp_path):
+    sweep_path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(
+        capsys, "localize", "--wavefunction", "gaussian:mu=0,sigma=1",
+        "--interval", "1,1.0000000000000002", "--csv", str(sweep_path), "--sweep-steps", "7",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: 7 sweep steps are finer than the floats in [1.0, 1.0000000000000002)\n"
+    assert not sweep_path.exists()
 
 
 def test_localize_realizes_the_density_once(capsys, tmp_path, monkeypatch):

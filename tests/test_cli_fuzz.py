@@ -278,6 +278,11 @@ def test_known_overflows_end_in_one_error_line(files):
         ["integrate", "lebesgue", "--density", inputs["wide-x.csv"], "--interval", "0,1"],
         ["integrate", "lebesgue", "--density", inputs["unsorted-x.csv"], "--interval", "0,1"],
         ["integrate", "lebesgue", "--density", inputs["half-max.csv"], "--interval", "0,0.5"],
+        # grids finer than the floats of their span
+        ["localize", "--wavefunction", "gaussian:mu=0,sigma=1", "--domain", "0,5e-324",
+         "--interval", "0,5e-324", "--grid", "101"],
+        ["localize", "--wavefunction", "gaussian:mu=1e10,sigma=1e-4",
+         "--interval", "9999999999.9995,10000000000.0005"],
     ):
         code, out, err, caught = run(argv)
         assert code == 1 and out == "" and not caught, argv

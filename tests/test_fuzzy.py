@@ -10,6 +10,7 @@ from vagueq import (
     FiniteFuzzySet,
     GridFunction,
     IntervalSet,
+    MeasureSpec,
     TNormKind,
     as_grade,
     fuzzy_complement,
@@ -20,7 +21,9 @@ from vagueq import (
     read_fuzzy_set,
     read_grid_csv,
     write_fuzzy_set,
+    write_grade_table,
     write_grid_csv,
+    write_table_measure,
 )
 
 from oracles import (
@@ -333,12 +336,33 @@ def test_fuzzy_set_round_trip(tmp_path):
     assert read_fuzzy_set(path) == original
 
 
+def _label_writers(label):
+    """Each label writer, called on a small input keyed by ``label`` and "c"."""
+    table = {(): 0.0, (label,): 0.5, ("c",): 0.5, (label, "c"): 1.0}
+    return {
+        "fuzzy set": lambda path: write_fuzzy_set(fs(0.5, 1.0, labels=(label, "c")), path),
+        "table": lambda path: write_table_measure(
+            MeasureSpec.from_table((label, "c"), table), path
+        ),
+        "grade table": lambda path: write_grade_table({label: 0.5, "c": 1.0}, path),
+    }
+
+
 def test_fuzzy_set_writer_rejects_labels_that_would_not_read_back(tmp_path):
     path = tmp_path / "set.txt"
-    for label in ("#a", " b", "b ", "\tb", "a\nb", "a\rb"):
-        with pytest.raises(ValueError, match=re.escape(repr(label))):
-            write_fuzzy_set(fs(0.5, 1.0, labels=(label, "c")), path)
-        assert not path.exists()
+    refused = {label: ("fuzzy set", "table", "grade table")
+               for label in ("#a", " b", "b ", "\tb", "a\nb", "a\rb")}
+    refused.update({"": ("table",), "{}": ("table",), "a|b": ("table",),
+                    "|": ("table",), "ε": ("grade table",)})
+    for label, kinds in refused.items():
+        for kind, write in _label_writers(label).items():
+            if kind in kinds:
+                with pytest.raises(ValueError, match=re.escape(repr(label))):
+                    write(path)
+                assert not path.exists(), (label, kind)
+            else:  # the other formats take it
+                write(path)
+                path.unlink()
 
 
 def test_fuzzy_set_read_skips_comments(tmp_path):
@@ -385,6 +409,39 @@ def test_grid_csv_rejects_nonuniform_spacing(tmp_path):
     path.write_text("x,value\n0.0,1.0\n0.5,1.0\n2.0,1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="uniform"):
         read_grid_csv(path)
+
+
+def test_grid_csv_takes_the_nodes_to_a_billionth_step_or_one_ulp(tmp_path):
+    path = tmp_path / "grid.csv"
+    # the library's own grids read back bit for bit where one ulp of x
+    # exceeds a billionth of a step, which a mean-step test refused
+    for mu in (100.0, 1e4, 1e8):
+        f = GridFunction(mu - 8e-4, mu + 8e-4, np.linspace(0.0, 1.0, 10001))
+        write_grid_csv(f, path)
+        g = read_grid_csv(path)
+        assert (g.x_min, g.x_max) == (f.x_min, f.x_max)
+        assert g.samples.tobytes() == f.samples.tobytes()
+    # grids built as x0 + k*h pass; one node moved by 10x the bound fails
+    for x0, h in ((0.0, 0.01), (-3.0, 1e-7), (1e8, 1e-6)):
+        xs = x0 + np.arange(101) * h
+        step = (xs[-1] - xs[0]) / 100
+        bound = max(1e-9 * step, float(np.spacing(max(abs(xs[0]), abs(xs[-1])))))
+        path.write_text("x,value\n" + "".join(f"{x!r},1.0\n" for x in xs.tolist()),
+                        encoding="utf-8")
+        assert read_grid_csv(path).samples.tolist() == [1.0] * 101
+        xs[50] += 10 * bound
+        path.write_text("x,value\n" + "".join(f"{x!r},1.0\n" for x in xs.tolist()),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="not uniformly spaced"):
+            read_grid_csv(path)
+
+
+def test_grid_refuses_nodes_that_are_not_increasing_floats():
+    for lo, hi, n in ((0.0, 5e-324, 101), (1e10 - 8e-4, 1e10 + 8e-4, 10001)):
+        message = f"{n} nodes are not strictly increasing floats in [{lo}, {hi}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GridFunction(lo, hi, np.ones(n))
+    assert GridFunction(0.0, 5e-324, [1.0, 1.0]).spacing == 5e-324
 
 
 def test_grid_csv_rejects_wrong_header(tmp_path):

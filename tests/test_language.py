@@ -146,6 +146,23 @@ def test_table_language_guards():
         language_from_table("01", {"0": 1.5})
 
 
+def test_grade_tables_share_one_grade_rule(tmp_path):
+    path = tmp_path / "lang.txt"
+    for value, message in ((1.5, r"grade 1\.5 for word '0' outside \[0, 1\]"),
+                           (Fraction(-1, 3), r"grade -1/3 for word '0' outside"),
+                           (float("nan"), r"cannot parse grade '?nan'? for word '0'"),
+                           ("1/0", r"cannot parse grade '1/0' for word '0'")):
+        with pytest.raises(ValueError, match=message):
+            language_from_table("01", {"0": value})
+        with pytest.raises(ValueError, match=message):
+            write_grade_table({"0": value}, path)
+        assert not path.exists()
+        path.write_text(f"0,{value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"lang\.txt:1: " + message):
+            read_grade_table(path)
+        path.unlink()
+
+
 # --- grade-table files -----------------------------------------------------------
 
 def test_grade_table_round_trip(tmp_path):

@@ -287,9 +287,12 @@ def test_sweep_at_the_step_cap_equals_the_per_window_reads():
 def test_sweep_steps_finer_than_the_floats_fail_as_the_loop_does():
     w = WavefunctionSpec.gaussian(1.0, 1.0, grid_points=101)
     b = float(np.nextafter(1.0, 2.0))
-    for sweep in (localization_sweep, localization_sweep_loop):
-        with pytest.raises(ValueError, match=r"interval \[1\.0, 1\.0\) is empty"):
-            sweep(w, 1.0, b, 7)
+    # the sweep names its step count and the window, the loop its first window
+    finer = r"7 sweep steps are finer than the floats in \[1\.0, 1\.0000000000000002\)"
+    with pytest.raises(ValueError, match=finer):
+        localization_sweep(w, 1.0, b, 7)
+    with pytest.raises(ValueError, match=r"interval \[1\.0, 1\.0\) is empty"):
+        localization_sweep_loop(w, 1.0, b, 7)
 
 
 def test_sweep_makes_no_per_window_query(monkeypatch):
