@@ -30,7 +30,9 @@ from .fuzzy import (
 from .integrals import grid_tolerance, sugeno_integral
 from .intervals import IntervalSet
 from .language import read_grade_table, zeros_then_ones_language
-from .localize import WavefunctionSpec, localize, localization_sweep, realize_density
+from .localize import (
+    DEFAULT_GRID_POINTS, WavefunctionSpec, localize, localization_sweep, realize_density
+)
 from .measures import (
     AdditiveMeasure,
     MeasureSpec,
@@ -454,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="gaussian:mu=0,sigma=1 | box:n=1,L=1 | samples:path=F.csv",
     )
     p_loc.add_argument("--interval", required=True, help="window a,b")
-    p_loc.add_argument("--grid", type=int, default=10001, help="grid points")
+    p_loc.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS, help="grid points")
     p_loc.add_argument("--domain", help="override domain lo,hi (gaussian)")
     p_loc.add_argument("--time", type=float, default=0.0, help="recorded on the report")
     p_loc.add_argument(

@@ -19,15 +19,15 @@ from .intervals import IntervalSet
 GRADE_SLACK = 1e-12
 
 
-def as_grade(value: float, slack: float = GRADE_SLACK) -> float:
+def as_grade(value: float) -> float:
     """Validate a membership grade.
 
-    Values outside [0, 1] by more than ``slack`` are rejected; values
+    Values outside [0, 1] by more than ``GRADE_SLACK`` are rejected; values
     within the slack are clamped, so accumulated round-off never leaks
     out of the unit interval.
     """
     v = float(value)
-    if math.isnan(v) or v < -slack or v > 1.0 + slack:
+    if math.isnan(v) or v < -GRADE_SLACK or v > 1.0 + GRADE_SLACK:
         raise ValueError(f"grade {value!r} lies outside [0, 1]")
     return min(max(v, 0.0), 1.0)
 
@@ -332,10 +332,13 @@ def _write_rows(path, rows, header: str | None = None) -> None:
 
 
 def _readable(label: str) -> str:
-    """``label`` if ``_rows`` reads it back as written: no leading ``#``, no
-    outer whitespace, no line break.  Writers call it before the file is
-    opened, so a refused label leaves no file behind."""
-    if label.startswith("#") or label != label.strip() or set("\n\r") & set(label):
+    """``label`` if ``_rows`` reads it back as written: UTF-8 encodable, no
+    leading ``#``, no outer whitespace, no line break.  Writers call it
+    before the file is opened, so a refused label leaves no file behind."""
+    if (
+        label.encode("utf-8", "replace").decode("utf-8") != label  # a lone surrogate
+        or label.startswith("#") or label != label.strip() or set("\n\r") & set(label)
+    ):
         raise ValueError(f"label {label!r} would not read back")
     return label
 

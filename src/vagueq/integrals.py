@@ -92,10 +92,10 @@ def grid_tolerance(f: GridFunction) -> float:
 
     Equals max(1e-6, 2 h sup|f'|), the scale of how much the function can
     move across one cell; results derived from cuts of f are trusted to
-    this resolution and no further.
+    this resolution and no further.  The spacing h cancels against the
+    slope's, so this is 2 max|f_(k+1) - f_k|, finite even on a subnormal step.
     """
-    steepest = float(np.max(np.abs(np.diff(f.samples)))) / f.spacing
-    return max(1e-6, 2.0 * f.spacing * steepest)
+    return max(1e-6, 2.0 * float(np.max(np.abs(np.diff(f.samples)))))
 
 
 def _sugeno_finite(f: FiniteFuzzySet, a, m: MeasureSpec) -> float:
@@ -105,7 +105,17 @@ def _sugeno_finite(f: FiniteFuzzySet, a, m: MeasureSpec) -> float:
     # grow one label at a time and the integral is the best
     # min(value, mu(top-set)); a stable sort keeps ties in universe order
     order = idx[np.argsort(-f.grades[idx], kind="stable")]
-    values = m._prefix_values(f.universe, [f.universe[k] for k in order])
+    if m.universe is None:
+        raise ValueError(
+            "finite Sugeno integration needs a finite (possibilistic or table) measure"
+        )
+    if set(m.universe) != set(f.universe):
+        raise ValueError("domain mismatch: f and the measure use different universes")
+    labels = [f.universe[k] for k in order]
+    # each prefix is measured on its own, O(n^3) in all for a possibility
+    # measure since grade_of scans the universe; the running max
+    # np.maximum.accumulate(pi[order]) is the O(n) form (ROADMAP item 2)
+    values = [measure_of(m, labels[: k + 1]) for k in range(len(labels))]
     if not order.size:
         return 0.0
     return float(np.max(np.minimum(f.grades[order], values)))

@@ -133,19 +133,15 @@ def language_from_table(
 
     Exact decimal inputs stay exact: grades are parsed into Fractions.
     """
-    symbols = tuple(alphabet)
-    allowed = set(symbols)
     frozen: dict[str, Fraction] = {}
+    language = FuzzyLanguage(tuple(alphabet), lambda w: frozen.get(w, Fraction(0)))
     for word, value in table.items():
-        w = str(word)
-        for pos, symbol in enumerate(w):
-            if symbol not in allowed:
-                raise ValueError(
-                    f"word {w!r} uses symbol {symbol!r} at position {pos}, "
-                    f"not in the alphabet {''.join(symbols)!r}"
-                )
+        try:
+            w = language._check_word(word)
+        except ValueError as e:
+            raise ValueError(f"word {str(word)!r}: {e}") from None
         frozen[w] = _table_grade(w, value)
-    return FuzzyLanguage(symbols, lambda w: frozen.get(w, Fraction(0)))
+    return language
 
 
 EMPTY_WORD_MARK = "ε"  # lowercase epsilon

@@ -49,11 +49,6 @@ def _table_value(subset: frozenset, value) -> float:
     return v
 
 
-def _require_universe(mine: tuple[str, ...], theirs: tuple[str, ...]) -> None:
-    if set(mine) != set(theirs):
-        raise ValueError("domain mismatch: f and the measure use different universes")
-
-
 class MeasureSpec:
     """Base of the measure types, built through the three factory methods.
 
@@ -63,10 +58,10 @@ class MeasureSpec:
     map from subsets of a small finite universe to values (a
     ``TableMeasure``).
 
-    Each type answers ``_event`` (check an event against its domain),
-    ``_measure`` (its value on an event) and, on a finite universe,
-    ``_prefix_values`` (its values on the growing top-sets that the
-    sorted-value Sugeno integral walks).
+    Each type names its domain once, in ``universe``: its tuple of labels
+    on a finite universe, or None on a grid, where events are interval
+    sets.  ``_event`` checks an event against that domain, and each type
+    answers ``_measure`` (its value on an event).
     """
 
     @classmethod
@@ -96,12 +91,10 @@ class MeasureSpec:
             canon[subset] = _table_value(subset, value)
         return TableMeasure(labels, canon)
 
-    def _prefix_values(self, universe: tuple[str, ...], labels: list[str]):
-        """mu({labels[0], ..., labels[k]}) for every k; ``universe`` is the
-        integrand's, which must hold the same labels as the measure's."""
-        raise ValueError(
-            "finite Sugeno integration needs a finite (possibilistic or table) measure"
-        )
+    def _event(self, a) -> IntervalSet | frozenset:
+        if self.universe is None:
+            return _interval_event(a)
+        return label_subset(self.universe, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +108,7 @@ class AdditiveMeasure(MeasureSpec):
 
     density: GridFunction
     norm: float = field(init=False)
+    universe = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -124,9 +118,6 @@ class AdditiveMeasure(MeasureSpec):
     @property
     def is_normalized(self) -> bool:
         return abs(self.norm - 1.0) <= 1e-6
-
-    def _event(self, a) -> IntervalSet:
-        return _interval_event(a)
 
     def _measure(self, a) -> float:
         return self.density.integral_over(self._event(a))
@@ -142,13 +133,16 @@ class PossibilityMeasure(MeasureSpec):
     """
 
     distribution: GridFunction | FiniteFuzzySet
+    universe: tuple[str, ...] | None = field(init=False)
 
     def __post_init__(self) -> None:
         d = self.distribution
         if isinstance(d, GridFunction):
             sup = float(d.samples.max())
+            object.__setattr__(self, "universe", None)
         elif isinstance(d, FiniteFuzzySet):
             sup = height(d)
+            object.__setattr__(self, "universe", d.universe)
         else:
             raise ValueError(
                 "distribution must be a GridFunction or FiniteFuzzySet"
@@ -161,27 +155,11 @@ class PossibilityMeasure(MeasureSpec):
             clamped = GridFunction(d.x_min, d.x_max, np.minimum(d.samples, 1.0))
             object.__setattr__(self, "distribution", clamped)
 
-    def _event(self, a) -> IntervalSet | frozenset:
-        d = self.distribution
-        if isinstance(d, GridFunction):
-            return _interval_event(a)
-        return label_subset(d.universe, a)
-
     def _measure(self, a) -> float:
         event = self._event(a)
-        if isinstance(event, IntervalSet):
+        if self.universe is None:
             return self.distribution.max_over(event)
         return max((self.distribution.grade_of(l) for l in event), default=0.0)
-
-    def _prefix_values(self, universe: tuple[str, ...], labels: list[str]):
-        d = self.distribution
-        if not isinstance(d, FiniteFuzzySet):
-            return super()._prefix_values(universe, labels)
-        _require_universe(d.universe, universe)
-        # each prefix is measured on its own, O(n^3) in all since grade_of
-        # scans the universe; the running max np.maximum.accumulate(pi[order])
-        # is the O(n) form (ROADMAP item 2)
-        return [measure_of(self, labels[: k + 1]) for k in range(len(labels))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,15 +205,8 @@ class TableMeasure(MeasureSpec):
                         f"{smaller} exceeds mu({sorted(subset)}) = {value}"
                     )
 
-    def _event(self, a) -> frozenset:
-        return label_subset(self.universe, a)
-
     def _measure(self, a) -> float:
         return self.table[self._event(a)]
-
-    def _prefix_values(self, universe: tuple[str, ...], labels: list[str]):
-        _require_universe(self.universe, universe)
-        return [self.table[frozenset(labels[: k + 1])] for k in range(len(labels))]
 
 
 def measure_of(m: MeasureSpec, a) -> float:

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -134,6 +135,8 @@ def test_grid_tolerance_tracks_slope_and_spacing():
     assert grid_tolerance(triangle()) == 2.0
     # flat function bottoms out at the floor
     assert grid_tolerance(GridFunction(0.0, 1.0, [0.3, 0.3])) == 1e-6
+    # a subnormal step: the spacing cancels, so no overflow to inf
+    assert grid_tolerance(GridFunction(0.0, 5e-324, [0.0, 1.0])) == 2.0
     dense = normal_density()
     assert 1e-6 < grid_tolerance(dense) < 2e-3
 
@@ -196,6 +199,17 @@ def test_domain_mismatches_are_errors():
     other = MeasureSpec.possibilistic(FiniteFuzzySet(("y1",), [1.0]))
     with pytest.raises(ValueError, match="universe"):
         sugeno_integral(f, None, other)
+    # the measure's labels must equal f's as a set: a superset is refused,
+    # a permutation is the same universe
+    wider = ("x1", "x2", "x3", "x4")
+    with pytest.raises(ValueError, match="universe"):
+        sugeno_integral(f, None, MeasureSpec.possibilistic(
+            FiniteFuzzySet(wider, [1.0, 0.6, 0.3, 0.2])))
+    with pytest.raises(ValueError, match="universe"):
+        sugeno_integral(f, None, MeasureSpec.from_table(
+            wider, {s: float(len(s) > 0) for k in range(5) for s in combinations(wider, k)}))
+    permuted = MeasureSpec.possibilistic(FiniteFuzzySet(("x3", "x1", "x2"), [0.3, 1.0, 0.6]))
+    assert sugeno_integral(f, None, permuted) == sugeno_integral(f, None, m) == 0.5
     with pytest.raises(ValueError, match="outside"):
         sugeno_integral(f, ["zz"], m)
     with pytest.raises(ValueError, match="finite"):
