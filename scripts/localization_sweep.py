@@ -15,22 +15,11 @@ Usage:
 
 import argparse
 import csv
-from dataclasses import dataclass
 
 from vagueq import WavefunctionSpec, localization_sweep, localize
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    mu: float = 0.0
-    sigma: float = 1.0
-    a: float = -8.0
-    b: float = 8.0
-    steps: int = 200
-    csv_path: str | None = None
-
-
-def parse_args(argv=None) -> SweepConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--mu", type=float, default=0.0, help="gaussian center")
     p.add_argument("--sigma", type=float, default=1.0, help="gaussian width")
@@ -38,8 +27,7 @@ def parse_args(argv=None) -> SweepConfig:
     p.add_argument("--b", type=float, default=8.0, help="sweep end")
     p.add_argument("--steps", type=int, default=200, help="windows per sweep")
     p.add_argument("--csv", dest="csv_path", default=None, help="write all rows here")
-    ns = p.parse_args(argv)
-    return SweepConfig(ns.mu, ns.sigma, ns.a, ns.b, ns.steps, ns.csv_path)
+    return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -55,7 +43,7 @@ def main(argv=None) -> int:
 
     if cfg.csv_path:
         with open(cfg.csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")  # as `vagueq localize --csv`
             writer.writerow(["a", "b", "probability", "possibility"])
             writer.writerows(rows)
         print(f"wrote {len(rows)} rows to {cfg.csv_path}")

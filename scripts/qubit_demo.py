@@ -14,7 +14,6 @@ Usage:
 """
 
 import argparse
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +30,11 @@ from vagueq import (
 )
 
 
-@dataclass(frozen=True)
-class DemoConfig:
-    seed: int = 0
-    draws: int = 100000
-
-
-def parse_args(argv=None) -> DemoConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=0, help="seed for Born draws")
     p.add_argument("--draws", type=int, default=100000, help="Born sample size")
-    ns = p.parse_args(argv)
-    return DemoConfig(ns.seed, ns.draws)
+    return p.parse_args(argv)
 
 
 def main(argv=None) -> int:

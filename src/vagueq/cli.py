@@ -45,6 +45,7 @@ from .qubits import (
     FuzzyQubitState,
     QubitState,
     TwoQubitState,
+    _complex_pairs,
     amplitude_determinant,
     apply_hadamard,
     apply_pauli_x,
@@ -54,8 +55,6 @@ from .qubits import (
     defuzzify,
     fuzzify,
     is_entangled,
-    ket0,
-    ket1,
     parse_state_literal,
     tensor_product,
 )
@@ -304,24 +303,14 @@ def _apply_gates(state: QubitState, gates: list[str]) -> QubitState:
                 raise ValueError(
                     "u: gate needs 8 numbers (re,im per entry, row-major)"
                 )
-            matrix = np.array(
-                [
-                    [complex(nums[0], nums[1]), complex(nums[2], nums[3])],
-                    [complex(nums[4], nums[5]), complex(nums[6], nums[7])],
-                ]
-            )
-            state = apply_unitary(state, matrix)
+            state = apply_unitary(state, np.reshape(_complex_pairs(nums), (2, 2)))
             continue
         raise ValueError(f"unknown gate {gate!r}; use H, X, Z, or u:8 numbers")
     return state
 
 
 def _parse_init(text: str) -> QubitState:
-    if text.strip() == "0":
-        return ket0()
-    if text.strip() == "1":
-        return ket1()
-    state = parse_state_literal(text)
+    state = parse_state_literal({"0": "|0>", "1": "|1>"}.get(text.strip(), text))
     if not isinstance(state, QubitState):
         raise ValueError("qubit commands need a one-qubit state")
     return state

@@ -197,21 +197,13 @@ class GridFunction:
             raise ValueError("the integral of the samples overflows")
         nodes.setflags(write=False)
         prefix.setflags(write=False)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_h", h)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "spacing", h)
         object.__setattr__(self, "_prefix", prefix)
 
     @property
     def n(self) -> int:
         return self.samples.size
-
-    @property
-    def spacing(self) -> float:
-        return self._h
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._nodes
 
     def full_span(self) -> IntervalSet:
         return IntervalSet.interval(self.x_min, self.x_max)
@@ -228,16 +220,16 @@ class GridFunction:
             if bad.size:
                 raise ValueError(f"point {bad[0]} outside grid span [{lo}, {hi}]")
             xs = np.where(hi < xs, hi, np.where(lo > xs, lo, xs))
-        k = self._nodes[1:-1].searchsorted(xs, side="right")  # 0..n-2
+        k = self.nodes[1:-1].searchsorted(xs, side="right")  # 0..n-2
         y0, y1 = self.samples[k], self.samples[1:][k]
-        v = y0 + (xs - self._nodes[k]) / self._h * (y1 - y0)
+        v = y0 + (xs - self.nodes[k]) / self.spacing * (y1 - y0)
         # when y0 == y1 no clamp fires, so the sign of a zero bound is moot
         y_lo, y_hi = np.minimum(y0, y1), np.maximum(y0, y1)
         return xs, k, np.where(y_lo > v, y_lo, np.where(y_hi < v, y_hi, v))
 
     def _cumulative(self, xs) -> np.ndarray:
         xs, k, v = self._read(xs)
-        return self._prefix[k] + (xs - self._nodes[k]) * 0.5 * (self.samples[k] + v)
+        return self._prefix[k] + (xs - self.nodes[k]) * 0.5 * (self.samples[k] + v)
 
     def value_at(self, x: float) -> float:
         """Piecewise-linear reading at x (must lie within the span)."""
@@ -267,8 +259,8 @@ class GridFunction:
         values = self._read(np.ravel(a.intervals))[2].tolist()
         best = 0.0
         for (lo, hi), v_lo, v_hi in zip(a.intervals, values[::2], values[1::2]):
-            i0 = int(self._nodes.searchsorted(lo, side="right"))
-            i1 = int(self._nodes.searchsorted(hi, side="left"))
+            i0 = int(self.nodes.searchsorted(lo, side="right"))
+            i1 = int(self.nodes.searchsorted(hi, side="left"))
             if i1 > i0:
                 best = max(best, float(self.samples[i0:i1].max()))
             best = max(best, v_lo, v_hi)

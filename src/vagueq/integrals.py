@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -38,6 +39,14 @@ class AlphaCut:
     strict: bool = False
 
 
+def _superlevel(values: np.ndarray, alpha: float, strict: bool) -> np.ndarray:
+    """The one level rule: check that ``alpha`` is a finite level >= 0, then
+    mask the ``values`` above it, strictly or not."""
+    if not math.isfinite(alpha) or alpha < 0.0:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    return (values > alpha) if strict else (values >= alpha)
+
+
 def alpha_cut(f: GridFunction, alpha: float, strict: bool = False) -> AlphaCut:
     """Superlevel set of a grid function under its piecewise-linear reading.
 
@@ -47,11 +56,9 @@ def alpha_cut(f: GridFunction, alpha: float, strict: bool = False) -> AlphaCut:
     alpha belong to the non-strict cut only.
     """
     alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     ys = f.samples
     xs = f.nodes
-    sat = (ys > alpha) if strict else (ys >= alpha)
+    sat = _superlevel(ys, alpha, strict)
     if not sat.any():
         return AlphaCut(alpha, IntervalSet.empty(), strict)
     idx = np.flatnonzero(sat)
@@ -78,12 +85,7 @@ def alpha_cut_finite(
 ) -> AlphaCut:
     """Superlevel subset of a finite fuzzy set."""
     alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    if strict:
-        keep = frozenset(l for l, g in f.items() if g > alpha)
-    else:
-        keep = frozenset(l for l, g in f.items() if g >= alpha)
+    keep = frozenset(compress(f.universe, _superlevel(f.grades, alpha, strict)))
     return AlphaCut(alpha, keep, strict)
 
 
@@ -99,7 +101,7 @@ def grid_tolerance(f: GridFunction) -> float:
 
 
 def _sugeno_finite(f: FiniteFuzzySet, a, m: MeasureSpec) -> float:
-    subset = label_subset(f.universe, f.universe if a is None else a)
+    subset = label_subset(f.universe, a)
     idx = np.array([k for k, l in enumerate(f.universe) if l in subset], dtype=int)
     # sorted-value evaluation: with f's values taken downward, the top-sets
     # grow one label at a time and the integral is the best

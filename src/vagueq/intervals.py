@@ -101,15 +101,8 @@ class IntervalSet:
         return not self.intersection(other).is_empty
 
     def issubset(self, other: "IntervalSet") -> bool:
-        mine = IntervalSet.from_pairs(self.intervals).intervals
-        theirs = IntervalSet.from_pairs(other.intervals).intervals
-        j = 0
-        for lo, hi in mine:
-            while j < len(theirs) and theirs[j][1] <= lo:
-                j += 1
-            if j == len(theirs) or not (theirs[j][0] <= lo and hi <= theirs[j][1]):
-                return False
-        return True
+        # canonical forms are unique, so A is inside B exactly when A u B is B
+        return self.union(other) == IntervalSet.from_pairs(other.intervals)
 
 
 def union_all(parts: Iterable[IntervalSet]) -> IntervalSet:

@@ -29,6 +29,19 @@ def _check_amplitude(value) -> complex:
     return z
 
 
+def _unit_norm(amps: tuple[complex, ...]) -> tuple[complex, ...]:
+    """``amps`` if their squared magnitudes sum to 1 within ``NORM_TOL``."""
+    norm_sq = sum(abs(z) ** 2 for z in amps)
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm^2 is {norm_sq}, must be 1 within {NORM_TOL}")
+    return amps
+
+
+def _complex_pairs(nums: list[float]) -> list[complex]:
+    """Consecutive ``re, im`` numbers as complex numbers."""
+    return [complex(re, im) for re, im in zip(nums[::2], nums[1::2])]
+
+
 @dataclass(frozen=True)
 class QubitState:
     """Amplitudes over the computational basis, normalized within 1e-9."""
@@ -37,11 +50,7 @@ class QubitState:
     a1: complex
 
     def __post_init__(self) -> None:
-        a0 = _check_amplitude(self.a0)
-        a1 = _check_amplitude(self.a1)
-        norm_sq = abs(a0) ** 2 + abs(a1) ** 2
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm^2 is {norm_sq}, must be 1 within {NORM_TOL}")
+        a0, a1 = _unit_norm((_check_amplitude(self.a0), _check_amplitude(self.a1)))
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
 
@@ -56,10 +65,7 @@ class TwoQubitState:
         amps = tuple(_check_amplitude(z) for z in self.amplitudes)
         if len(amps) != 4:
             raise ValueError("two-qubit states need exactly 4 amplitudes")
-        norm_sq = sum(abs(z) ** 2 for z in amps)
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm^2 is {norm_sq}, must be 1 within {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _unit_norm(amps))
 
 
 @dataclass(frozen=True)
@@ -192,11 +198,9 @@ def parse_state_literal(text: str) -> QubitState | TwoQubitState:
         except ValueError:
             raise ValueError(f"cannot parse amplitude list {body!r}") from None
         if len(nums) == 4:
-            return QubitState(complex(nums[0], nums[1]), complex(nums[2], nums[3]))
+            return QubitState(*_complex_pairs(nums))
         if len(nums) == 8:
-            return TwoQubitState(
-                tuple(complex(nums[2 * k], nums[2 * k + 1]) for k in range(4))
-            )
+            return TwoQubitState(tuple(_complex_pairs(nums)))
         raise ValueError(
             f"amp literal needs 2 or 4 re,im pairs, got {len(nums)} numbers"
         )

@@ -286,6 +286,20 @@ def test_measure_check_additivity(capsys, normal_csv):
     assert out_lines(out)["holds"] == "true"
 
 
+def test_measure_check_additivity_is_not_quadratic_in_the_parts(normal_csv):
+    # 6000 abutting parts: a pairwise overlap test took about 20 s here
+    edges = [f"{k / 6000:.6f}" for k in range(6001)]
+    parts = ";".join(f"{lo},{hi}" for lo, hi in zip(edges, edges[1:]))
+    run = subprocess.run(
+        [sys.executable, "-m", "vagueq", "measure", "check",
+         "--measure", f"additive:density={normal_csv}", "--check", "additivity",
+         "--parts", parts],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert run.returncode == 0 and run.stderr == ""
+    assert out_lines(run.stdout)["holds"] == "true"
+
+
 def test_measure_check_rejects_overlapping_parts(capsys, normal_csv):
     code, _, err = run_cli(
         capsys,

@@ -48,6 +48,11 @@ def test_issubset():
     assert inner.issubset(outer)
     assert not outer.issubset(inner)
     assert IntervalSet.empty().issubset(inner)
+    # touching pieces encode the same set as their merge
+    whole = IntervalSet.interval(0.0, 2.0)
+    halves = IntervalSet(((0.0, 1.0), (1.0, 2.0)))
+    assert whole.issubset(halves) and halves.issubset(whole)
+    assert not IntervalSet(((0.0, 1.0), (1.0, 2.5))).issubset(whole)
 
 
 bounds = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)

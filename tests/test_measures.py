@@ -138,6 +138,14 @@ def test_measure_kind_event_mismatches_are_errors():
         measure_of(table, IntervalSet.interval(0.0, 1.0))
 
 
+def test_none_event_is_the_whole_universe_on_finite_measures():
+    for m in (MeasureSpec.possibilistic(finite_pi()),
+              MeasureSpec.from_table(("a", "b"), _table_2())):
+        assert measure_of(m, None) == measure_of(m, m.universe)
+    with pytest.raises(ValueError, match="label subsets need a finite measure"):
+        measure_of(MeasureSpec.additive(standard_normal()), None)
+
+
 def test_event_outside_grid_span_is_an_error():
     m = MeasureSpec.additive(standard_normal())
     with pytest.raises(ValueError, match="span"):
