@@ -298,7 +298,10 @@ def _apply_gates(state: QubitState, gates: list[str]) -> QubitState:
             state = _GATES[name](state)
             continue
         if name.startswith("u:"):
-            nums = [float(p) for p in name[2:].split(",")]
+            try:
+                nums = [float(p) for p in name[2:].split(",")]
+            except ValueError:
+                raise ValueError(f"cannot parse gate {gate!r}") from None
             if len(nums) != 8:
                 raise ValueError(
                     "u: gate needs 8 numbers (re,im per entry, row-major)"

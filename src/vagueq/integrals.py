@@ -5,9 +5,11 @@ The Sugeno integral of f over a with respect to a monotone measure mu is
     sup over alpha >= 0 of  min(alpha, mu(a intersect {f >= alpha})),
 
 a max-min counterpart of the Lebesgue integral: summation becomes sup,
-multiplication becomes min.  Because the inner map g(alpha) is
-non-increasing while alpha increases, the supremum sits where g crosses
-the identity, which is what the grid search below exploits.
+multiplication becomes min.  For a possibility measure Pi_pi it equals
+sup over a of min(f, pi) (Dubois & Prade), which the measure computes in
+closed form.  For an additive measure the inner map g(alpha) is
+non-increasing while alpha increases, so the supremum sits where g
+crosses the identity, which the grid bisection below finds.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .fuzzy import FiniteFuzzySet, GridFunction
 from .intervals import IntervalSet
-from .measures import MeasureSpec, label_subset, measure_of
+from .measures import MeasureSpec, PossibilityMeasure, label_subset, measure_of
 
 BISECTION_TOL = 1e-10
 
@@ -124,9 +126,12 @@ def _sugeno_finite(f: FiniteFuzzySet, a, m: MeasureSpec) -> float:
 
 
 def _sugeno_grid(f: GridFunction, a: IntervalSet, m: MeasureSpec) -> float:
-    # before any early return: a finite measure rejects interval events, and
-    # reading the event's ends rejects one outside f's span
-    m._event(a)
+    if isinstance(m, PossibilityMeasure):
+        return m._sugeno_grid(f, a)
+    # before any early return, so the error never depends on f: measure_of
+    # rejects an event outside the measure's domain or span, and reading the
+    # event's ends rejects one outside f's span
+    measure_of(m, a)
     f._read(np.ravel(a.intervals))
 
     def g(alpha: float) -> float:
@@ -161,9 +166,13 @@ def sugeno_integral(f, a, m: MeasureSpec) -> float:
 
     Finite fuzzy sets use the exact sorted-value evaluation; ``a`` is an
     iterable of labels or None for the whole universe.  Grid functions
-    take ``a`` as an IntervalSet and bisect [0, max f] for the crossing of
-    g(alpha) = mu(a intersect {f >= alpha}) with the identity, down to a
-    bracket of 1e-10 or of adjacent floats, whichever is wider.
+    take ``a`` as an IntervalSet.  Against a possibility measure the
+    integral is sup over a of min(f, pi), exact under the piecewise-linear
+    reading.  Against an additive measure it bisects [0, max f] for the
+    crossing of g(alpha) = mu(a intersect {f >= alpha}) with the identity,
+    down to a bracket of 1e-10 or of adjacent floats, whichever is wider.
+    Either way an event outside the measure's span or f's is an error,
+    whatever f is.
     """
     if isinstance(f, FiniteFuzzySet):
         return _sugeno_finite(f, a, m)

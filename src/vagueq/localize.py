@@ -145,7 +145,7 @@ def realize_density(w: WavefunctionSpec) -> GridFunction:
     return w._density()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalizationReport:
     """Additive and possibilistic localization numbers for one interval."""
 

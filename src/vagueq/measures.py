@@ -159,6 +159,59 @@ class PossibilityMeasure(MeasureSpec):
             return self.distribution.max_over(event)
         return max((self.distribution.grade_of(l) for l in event), default=0.0)
 
+    def _sugeno_grid(self, f: GridFunction, a: IntervalSet) -> float:
+        """Sugeno integral of a grid function over ``a``: for a possibility
+        measure it is sup over a of min(f, pi) (Dubois & Prade), here exact
+        under the piecewise-linear reading of both.
+
+        On each piece of ``a``, f and pi are linear between their merged nodes
+        inside it, so min(f, pi) peaks at such a node, at a piece end, or where
+        f = pi inside a cell.  ``a`` is checked against pi's span and f's
+        before anything else, so the error never depends on f.
+        """
+        self._event(a)  # a finite distribution refuses interval events
+        pi = self.distribution
+        ends = np.ravel(a.intervals)
+        p_ends, f_ends = pi._read(ends)[2], f._read(ends)[2]
+        shared = (f.x_min, f.x_max, f.n) == (pi.x_min, pi.x_max, pi.n)
+        best = 0.0
+        for (lo, hi), f_lo, f_hi, p_lo, p_hi in zip(
+            a.intervals, f_ends[::2], f_ends[1::2], p_ends[::2], p_ends[1::2]
+        ):
+            if shared:  # the same nodes: read the samples as they are
+                inside = _inside(pi.nodes, lo, hi)
+                f_in, p_in = f.samples[inside], pi.samples[inside]
+            else:
+                xs = np.union1d(
+                    f.nodes[_inside(f.nodes, lo, hi)], pi.nodes[_inside(pi.nodes, lo, hi)]
+                )
+                f_in, p_in = f._read(xs)[2], pi._read(xs)[2]
+            best = max(best, _sup_min(
+                np.concatenate(([f_lo], f_in, [f_hi])),
+                np.concatenate(([p_lo], p_in, [p_hi])),
+            ))
+        return best
+
+
+def _inside(nodes: np.ndarray, lo: float, hi: float) -> slice:
+    """The slice of ``nodes`` strictly between lo and hi."""
+    return slice(nodes.searchsorted(lo, side="right"), nodes.searchsorted(hi, side="left"))
+
+
+def _sup_min(fv: np.ndarray, pv: np.ndarray) -> float:
+    """Max of min(f, pi) over a chain of points between which both are linear:
+    the larger of the point values and of the f = pi crossings inside a cell."""
+    d = fv - pv
+    up, down = d > 0.0, d < 0.0
+    # a sign test: the product d_k * d_(k+1) can underflow to zero
+    k = np.flatnonzero((up[:-1] & down[1:]) | (down[:-1] & up[1:]))
+    best = float(np.minimum(fv, pv).max())
+    if k.size:
+        t = d[k] / (d[k] - d[k + 1])  # in [0, 1]: the two signs differ
+        at = np.minimum(fv[k] + t * (fv[k + 1] - fv[k]), pv[k] + t * (pv[k + 1] - pv[k]))
+        best = max(best, float(at.max()))
+    return best
+
 
 @dataclass(frozen=True, eq=False)
 class TableMeasure(MeasureSpec):

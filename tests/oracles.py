@@ -12,9 +12,11 @@ from vagueq import (
     IntervalSet,
     MeasureSpec,
     QubitState,
+    alpha_cut,
     ket0,
     measure_of,
 )
+from vagueq.integrals import BISECTION_TOL
 from vagueq.localize import MAX_SWEEP_STEPS, WavefunctionSpec, _density_on_window
 
 MAX_ORACLE_UNIVERSE = 16
@@ -26,8 +28,9 @@ def sugeno_bruteforce_oracle(
     """Direct evaluation of sup min(alpha, mu(a intersect {f >= alpha}))
     on a dense uniform alpha grid over [0, max f].
 
-    Deliberately naive: no sorting, no crossing argument.  Off by at most
-    one grid spacing from the true supremum, it exists to cross-check
+    Deliberately naive: no sorted-value walk, no crossing argument; each run
+    of equal top-sets on the grid is scored once.  Off by at most one grid
+    spacing from the true supremum, it exists to cross-check
     ``sugeno_integral`` on small universes (at most 16 elements).
     """
     if len(f.universe) > MAX_ORACLE_UNIVERSE:
@@ -47,24 +50,52 @@ def sugeno_bruteforce_oracle(
             )
         a_mask = np.array([l in subset for l in f.universe])
     alphas = np.linspace(0.0, float(f.grades.max()), int(grid))
-    ids = np.zeros(alphas.size, dtype=np.int64)
-    for k in range(len(f.universe)):
-        if a_mask[k]:
-            ids |= (f.grades[k] >= alphas).astype(np.int64) << k
-    # a label's bit turns off once as alpha rises, so ids never increase
-    # and each distinct id is one contiguous run
-    starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
-    mu_runs = np.array(
-        [
-            measure_of(
-                m,
-                [f.universe[k] for k in range(len(f.universe)) if uid & (1 << k)],
-            )
-            for uid in ids[starts]
-        ]
-    )
-    mu = np.repeat(mu_runs, np.diff(np.append(starts, ids.size)))
-    return float(np.max(np.minimum(alphas, mu)))
+    # label k lies in the top-set {f >= alpha} at the levels alpha <= f_k,
+    # the first last[k] of the grid, so the top-set changes only where a
+    # label leaves it: the grid splits into runs of equal top-sets.  In a run
+    # mu is constant and alpha rises, so min(alpha, mu) is largest at the
+    # run's last level.
+    last = np.searchsorted(alphas, f.grades, side="right")
+    best = 0.0
+    for end in np.unique(np.append(last[a_mask], alphas.size)).tolist():
+        if end:
+            top = [l for l, k, keep in zip(f.universe, last, a_mask) if keep and k >= end]
+            best = max(best, min(float(alphas[end - 1]), measure_of(m, top)))
+    return best
+
+
+def sugeno_grid_bisection_oracle(f: GridFunction, a: IntervalSet, m: MeasureSpec) -> float:
+    """Grid Sugeno integral by bisection on g(alpha) = mu(a intersect {f >= alpha}),
+    on the public ``alpha_cut`` and ``measure_of``.
+
+    g is non-increasing, so min(alpha, g(alpha)) rises with alpha until g
+    crosses the identity: bisect [0, max f] for the crossing, down to
+    ``BISECTION_TOL`` or adjacent floats.  The reference for the exact
+    sup-min route of possibility measures, which must match it within 1e-10.
+    """
+    # before any early return, so the error never depends on f: a must lie in
+    # the measure's span and in f's (integral_over reads a's ends)
+    measure_of(m, a)
+    f.integral_over(a)
+
+    def g(alpha: float) -> float:
+        return measure_of(m, alpha_cut(f, alpha).cut.intersection(a))
+
+    top = float(f.samples.max())
+    if top <= 0.0 or a.is_empty:
+        return 0.0
+    if g(top) >= top:
+        return top
+    lo, hi = 0.0, top
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if g(mid) >= mid:
+            lo = mid
+        else:
+            hi = mid
+    return max(lo, min(hi, g(hi)))
 
 
 def neumaier_prefix_oracle(x_min: float, x_max: float, samples) -> np.ndarray:

@@ -540,6 +540,13 @@ def test_qubit_numeric_unitary(capsys):
     assert out_lines(out)["mu0"] == "0.500000000"
 
 
+@pytest.mark.parametrize("gate", ["u:1,0,0,0,0,0,1,x", "u:"])
+def test_qubit_bad_float_in_a_u_gate_names_the_gate(capsys, gate):
+    code, out, err = run_cli(capsys, "qubit", "--init", "0", "--gate", gate)
+    assert code == 1 and out == ""
+    assert err == f"error: cannot parse gate {gate!r}\n"
+
+
 def test_qubit_argmax_tie_rule(capsys):
     code, out, _ = run_cli(
         capsys, "qubit", "--fuzzy", "0.5,0.5", "--report", "defuzz"

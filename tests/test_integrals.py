@@ -19,7 +19,7 @@ from vagueq import (
 )
 from vagueq import integrals
 
-from oracles import sugeno_bruteforce_oracle
+from oracles import sugeno_bruteforce_oracle, sugeno_grid_bisection_oracle
 
 
 def triangle() -> GridFunction:
@@ -382,3 +382,77 @@ def test_finite_possibility_sugeno_is_sup_min(n):
         got = sugeno_integral(FiniteFuzzySet(labels, f), event, m)
         want = float(np.max(np.minimum(f, pi)[mask])) if mask.any() else 0.0
         assert got == want
+
+
+# --- grid Sugeno, the sup-min route of possibility measures ----------------------
+
+def _random_pieces(rng, lo, hi, nodes=None):
+    # 1-4 pieces in [lo, hi]; with ``nodes``, every piece end is a node
+    k = int(rng.integers(1, 5))
+    if nodes is None:
+        pts = np.sort(rng.uniform(lo, hi, 2 * k))
+    else:
+        pts = np.sort(rng.choice(nodes, 2 * k, replace=False))
+    return IntervalSet.from_pairs(
+        [(float(x), float(y)) for x, y in zip(pts[::2], pts[1::2]) if x < y]
+    )
+
+
+def test_possibility_grid_sugeno_matches_the_bisection_oracle():
+    rng = np.random.default_rng(4242)
+    for trial in range(80):
+        lo = float(rng.uniform(-3.0, 0.0))
+        hi = lo + float(rng.uniform(0.5, 5.0))
+        n = int(rng.integers(2, 400))
+        xs = np.linspace(lo, hi, n)
+        if trial % 2:
+            ps = np.exp(-(((xs - rng.uniform(lo, hi)) / rng.uniform(0.1, 2.0)) ** 2))
+            ps /= ps.max()
+        else:
+            ps = rng.random(n)
+            ps[rng.integers(n)] = 1.0
+        pi = GridFunction(lo, hi, ps)
+        scale = float(rng.choice([0.5, 1.0, 3.0]))
+        if trial % 3 == 0:  # the same grid
+            f = GridFunction(lo, hi, rng.random(n) * scale)
+        else:  # a wider span and another size
+            f = GridFunction(lo - rng.uniform(0.0, 1.0), hi + rng.uniform(0.0, 1.0),
+                             rng.random(int(rng.integers(2, 400))) * scale)
+        m = MeasureSpec.possibilistic(pi)
+        events = [
+            _random_pieces(rng, lo, hi),
+            _random_pieces(rng, lo, hi, nodes=pi.nodes) if n >= 8 else pi.full_span(),
+            pi.full_span(),
+            IntervalSet.empty(),
+        ]
+        for a in events:
+            want = sugeno_grid_bisection_oracle(f, a, m)
+            assert abs(sugeno_integral(f, a, m) - want) <= 1e-10, (trial, a)
+
+
+def test_possibility_grid_sugeno_makes_no_alpha_cut(monkeypatch):
+    cuts = []
+    original = integrals.alpha_cut
+    monkeypatch.setattr(integrals, "alpha_cut", lambda *a: cuts.append(a) or original(*a))
+    pi = normal_density(n=2001).scaled_by_max()
+    f = GridFunction(-8.0, 8.0, np.linspace(0.0, 1.0, 2001))
+    off_peak = IntervalSet.interval(1.0, 3.0)
+    sugeno_integral(f, off_peak, MeasureSpec.possibilistic(pi))
+    sugeno_integral(pi, off_peak, MeasureSpec.possibilistic(pi))
+    assert cuts == []
+    sugeno_integral(f, off_peak, MeasureSpec.additive(normal_density(n=2001)))
+    assert len(cuts) > 2  # the additive route still bisects
+
+
+@pytest.mark.parametrize("route", ["possibilistic", "additive"])
+def test_grid_sugeno_event_past_the_measure_span_raises_whatever_f(route):
+    # pi lives on [-1, 1]; f on [-2, 2] is either narrow around 0 or flat
+    pi = GridFunction(-1.0, 1.0, [0.0, 1.0, 0.0])
+    m = getattr(MeasureSpec, route)(pi)
+    xs = np.linspace(-2.0, 2.0, 401)
+    narrow = GridFunction(-2.0, 2.0, np.exp(-(xs / 0.05) ** 2))
+    flat = GridFunction(-2.0, 2.0, np.full(401, 0.8))
+    a = IntervalSet.interval(-2.0, 2.0)
+    for f in (narrow, flat):
+        with pytest.raises(ValueError, match=r"point -2.0 outside grid span \[-1.0, 1.0\]"):
+            sugeno_integral(f, a, m)

@@ -175,6 +175,34 @@ def test_sugeno_agrees_with_sup_on_random_intervals():
         assert abs(report.possibility_sugeno - report.possibility) <= report.grid_tolerance
 
 
+def test_sugeno_equals_sup_bit_for_bit():
+    # against its own possibility measure pi, the Sugeno integral of pi over a
+    # window is sup min(pi, pi) = sup pi: the same float as the possibility
+    rng = np.random.default_rng(19)
+    specs = [
+        WavefunctionSpec.gaussian(0.0, 1.0, grid_points=2001),
+        WavefunctionSpec.gaussian(0.3, 0.2, grid_points=10001),
+        WavefunctionSpec.box_eigenstate(1, 2.0, grid_points=2001),
+        WavefunctionSpec.box_eigenstate(3, 1.0, grid_points=4001),
+    ]
+    for w in specs:
+        lo, hi = realize_density(w).x_min, realize_density(w).x_max
+        for _ in range(25):
+            a, b = np.sort(rng.uniform(lo, hi, size=2))
+            if a == b:
+                continue
+            report = localize(w, a, b)
+            assert report.possibility_sugeno == report.possibility, (w, a, b)
+
+
+def test_reports_have_slots_and_stay_frozen():
+    report = localize(WavefunctionSpec.gaussian(0.0, 1.0, grid_points=2001), -1.0, 1.0)
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.a = 0.0
+    assert report == localize(WavefunctionSpec.gaussian(0.0, 1.0, grid_points=2001), -1.0, 1.0)
+
+
 def test_report_validation_guards():
     ok = dict(
         a=0.0,
