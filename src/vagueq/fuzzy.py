@@ -33,25 +33,21 @@ def as_grade(value: float) -> float:
 
 
 class TNormKind(Enum):
-    """Triangular norm / conorm pairs for intersection and union."""
+    """Triangular norm / conorm pairs for intersection and union: each member
+    is its name (its value), its t-norm ``tnorm`` and its dual t-conorm ``tconorm``."""
 
-    MINIMUM = "minimum"
-    PRODUCT = "product"
-    LUKASIEWICZ = "lukasiewicz"
+    MINIMUM = "minimum", np.minimum, np.maximum
+    PRODUCT = "product", lambda a, b: a * b, lambda a, b: a + b - a * b
+    LUKASIEWICZ = (
+        "lukasiewicz",
+        lambda a, b: np.maximum(0.0, a + b - 1.0),
+        lambda a, b: np.minimum(1.0, a + b),
+    )
 
-    def tnorm(self, a, b):
-        if self is TNormKind.MINIMUM:
-            return np.minimum(a, b)
-        if self is TNormKind.PRODUCT:
-            return a * b
-        return np.maximum(0.0, a + b - 1.0)
-
-    def tconorm(self, a, b):
-        if self is TNormKind.MINIMUM:
-            return np.maximum(a, b)
-        if self is TNormKind.PRODUCT:
-            return a + b - a * b
-        return np.minimum(1.0, a + b)
+    def __new__(cls, value: str, tnorm, tconorm):
+        member = object.__new__(cls)
+        member._value_, member.tnorm, member.tconorm = value, tnorm, tconorm
+        return member
 
 
 @dataclass(frozen=True, eq=False)

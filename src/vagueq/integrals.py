@@ -1,15 +1,16 @@
-"""Level sets and the Sugeno integral.
+"""Level sets and the one Sugeno entry point.
 
 The Sugeno integral of f over a with respect to a monotone measure mu is
 
     sup over alpha >= 0 of  min(alpha, mu(a intersect {f >= alpha})),
 
 a max-min counterpart of the Lebesgue integral: summation becomes sup,
-multiplication becomes min.  For a possibility measure Pi_pi it equals
-sup over a of min(f, pi) (Dubois & Prade), which the measure computes in
-closed form.  For an additive measure the inner map g(alpha) is
-non-increasing while alpha increases, so the supremum sits where g
-crosses the identity, which the grid bisection below finds.
+multiplication becomes min.  Each measure type in ``measures`` owns its
+route: the sorted-value walk on a finite universe; on a grid, sup over a
+of min(f, pi) (Dubois & Prade) for a possibility measure, and for an
+additive one a bisection on the level through ``alpha_cut``, down to
+``BISECTION_TOL``.  ``sugeno_integral`` checks f and the event and hands
+them to the measure's route.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .fuzzy import FiniteFuzzySet, GridFunction
 from .intervals import IntervalSet
-from .measures import MeasureSpec, PossibilityMeasure, label_subset, measure_of
 
 BISECTION_TOL = 1e-10
 
@@ -102,67 +102,8 @@ def grid_tolerance(f: GridFunction) -> float:
     return max(1e-6, 2.0 * float(np.max(np.abs(np.diff(f.samples)))))
 
 
-def _sugeno_finite(f: FiniteFuzzySet, a, m: MeasureSpec) -> float:
-    subset = label_subset(f.universe, a)
-    idx = np.array([k for k, l in enumerate(f.universe) if l in subset], dtype=int)
-    # sorted-value evaluation: with f's values taken downward, the top-sets
-    # grow one label at a time and the integral is the best
-    # min(value, mu(top-set)); a stable sort keeps ties in universe order
-    order = idx[np.argsort(-f.grades[idx], kind="stable")]
-    if m.universe is None:
-        raise ValueError(
-            "finite Sugeno integration needs a finite (possibilistic or table) measure"
-        )
-    if set(m.universe) != set(f.universe):
-        raise ValueError("domain mismatch: f and the measure use different universes")
-    labels = [f.universe[k] for k in order]
-    # each prefix is measured on its own, O(n^3) in all for a possibility
-    # measure since grade_of scans the universe; the running max
-    # np.maximum.accumulate(pi[order]) is the O(n) form (ROADMAP item 2)
-    values = [measure_of(m, labels[: k + 1]) for k in range(len(labels))]
-    if not order.size:
-        return 0.0
-    return float(np.max(np.minimum(f.grades[order], values)))
-
-
-def _sugeno_grid(f: GridFunction, a: IntervalSet, m: MeasureSpec) -> float:
-    if isinstance(m, PossibilityMeasure):
-        return m._sugeno_grid(f, a)
-    # before any early return, so the error never depends on f: measure_of
-    # rejects an event outside the measure's domain or span, and reading the
-    # event's ends rejects one outside f's span
-    measure_of(m, a)
-    f._read(np.ravel(a.intervals))
-
-    def g(alpha: float) -> float:
-        cut = alpha_cut(f, alpha).cut
-        return measure_of(m, cut.intersection(a))
-
-    top = float(f.samples.max())
-    if top <= 0.0 or a.is_empty:
-        return 0.0
-
-    # g is non-increasing, so h(alpha) = min(alpha, g(alpha)) rises like
-    # alpha until g crosses the identity and falls with g afterwards:
-    # bisect [0, top] for the crossing, keeping g(lo) >= lo and g(hi) < hi.
-    # The bracket stops at BISECTION_TOL or, for large levels whose ulp
-    # exceeds it, once no float lies strictly between lo and hi.
-    if g(top) >= top:
-        return top
-    lo, hi = 0.0, top
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if g(mid) >= mid:
-            lo = mid
-        else:
-            hi = mid
-    return max(lo, min(hi, g(hi)))
-
-
-def sugeno_integral(f, a, m: MeasureSpec) -> float:
-    """Sugeno integral of f over a with respect to a monotone measure.
+def sugeno_integral(f, a, m) -> float:
+    """Sugeno integral of f over a with respect to a monotone measure ``m``.
 
     Finite fuzzy sets use the exact sorted-value evaluation; ``a`` is an
     iterable of labels or None for the whole universe.  Grid functions
@@ -172,12 +113,12 @@ def sugeno_integral(f, a, m: MeasureSpec) -> float:
     crossing of g(alpha) = mu(a intersect {f >= alpha}) with the identity,
     down to a bracket of 1e-10 or of adjacent floats, whichever is wider.
     Either way an event outside the measure's span or f's is an error,
-    whatever f is.
+    whatever f is.  The route is ``m``'s own method.
     """
     if isinstance(f, FiniteFuzzySet):
-        return _sugeno_finite(f, a, m)
+        return m._sugeno_finite(f, a)
     if isinstance(f, GridFunction):
         if not isinstance(a, IntervalSet):
             raise ValueError("grid Sugeno integration takes an IntervalSet event")
-        return _sugeno_grid(f, a, m)
+        return m._sugeno_grid(f, a)
     raise ValueError("f must be a FiniteFuzzySet or GridFunction")

@@ -97,9 +97,6 @@ class IntervalSet:
                 j += 1
         return IntervalSet(tuple(out))
 
-    def overlaps(self, other: "IntervalSet") -> bool:
-        return not self.intersection(other).is_empty
-
     def issubset(self, other: "IntervalSet") -> bool:
         # canonical forms are unique, so A is inside B exactly when A u B is B
         return self.union(other) == IntervalSet.from_pairs(other.intervals)

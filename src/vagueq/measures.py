@@ -5,8 +5,8 @@ under inclusion.  Additive measures integrate a sampled density;
 possibilistic measures take the supremum of a distribution whose global
 sup is 1; table measures enumerate every subset of a small finite
 universe explicitly.  Each kind is its own small type that owns its
-behaviour; ``measure_of`` and ``sugeno_integral`` are the public entry
-points to it.
+behaviour, its Sugeno route included; ``measure_of`` and
+``integrals.sugeno_integral`` are the public entry points to it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import integrals
 from .fuzzy import (
     FiniteFuzzySet, GridFunction, _number, _on_line, _readable, _rows, _write_rows, height
 )
@@ -56,8 +57,9 @@ class MeasureSpec:
 
     Each type names its domain once, in ``universe``: its tuple of labels
     on a finite universe, or None on a grid, where events are interval
-    sets.  ``_event`` checks an event against that domain, and each type
-    answers ``_measure`` (its value on an event).
+    sets.  ``_event`` checks an event against that domain, each type
+    answers ``_measure`` (its value on an event), and ``_sugeno_finite``
+    and ``_sugeno_grid`` are its Sugeno routes for ``sugeno_integral``.
     """
 
     @classmethod
@@ -94,6 +96,35 @@ class MeasureSpec:
             raise ValueError("measure domain mismatch: label subsets need a finite measure")
         return a
 
+    def _sugeno_finite(self, f: FiniteFuzzySet, a) -> float:
+        """The finite route, for every finite measure: the sorted-value walk,
+        over the labels ``a`` (None is all of them).  A grid measure refuses."""
+        subset = label_subset(f.universe, a)
+        idx = np.array([k for k, l in enumerate(f.universe) if l in subset], dtype=int)
+        # sorted-value evaluation: with f's values taken downward, the top-sets
+        # grow one label at a time and the integral is the best
+        # min(value, mu(top-set)); a stable sort keeps ties in universe order
+        order = idx[np.argsort(-f.grades[idx], kind="stable")]
+        if self.universe is None:
+            raise ValueError(
+                "finite Sugeno integration needs a finite (possibilistic or table) measure"
+            )
+        if set(self.universe) != set(f.universe):
+            raise ValueError("domain mismatch: f and the measure use different universes")
+        labels = [f.universe[k] for k in order]
+        # each prefix is measured on its own, O(n^3) in all for a possibility
+        # measure since grade_of scans the universe; the running max
+        # np.maximum.accumulate(pi[order]) is the O(n) form (ROADMAP item 2)
+        values = [measure_of(self, labels[: k + 1]) for k in range(len(labels))]
+        if not order.size:
+            return 0.0
+        return float(np.max(np.minimum(f.grades[order], values)))
+
+    def _sugeno_grid(self, f: GridFunction, a: IntervalSet) -> float:
+        """Grid measure types override this; a finite one's ``_event`` refuses ``a``."""
+        self._event(a)
+        raise NotImplementedError(f"{type(self).__name__} has no grid Sugeno route")
+
 
 @dataclass(frozen=True, eq=False)
 class AdditiveMeasure(MeasureSpec):
@@ -119,6 +150,40 @@ class AdditiveMeasure(MeasureSpec):
 
     def _measure(self, a) -> float:
         return self.density.integral_over(self._event(a))
+
+    def _sugeno_grid(self, f: GridFunction, a: IntervalSet) -> float:
+        """The grid route: g(alpha) = mu(a intersect {f >= alpha}) is
+        non-increasing, so min(alpha, g(alpha)) rises like alpha until g
+        crosses the identity and falls with g afterwards.  Bisect [0, max f]
+        for the crossing, keeping g(lo) >= lo and g(hi) < hi, until the
+        bracket is BISECTION_TOL wide or, for large levels whose ulp exceeds
+        it, no float lies strictly between lo and hi."""
+        # before any early return, so the error never depends on f: measure_of
+        # rejects an event outside the measure's domain or span, and reading the
+        # event's ends rejects one outside f's span
+        measure_of(self, a)
+        f._read(np.ravel(a.intervals))
+
+        def g(alpha: float) -> float:
+            # read off the module, so a wrapper set on integrals.alpha_cut sees each cut
+            cut = integrals.alpha_cut(f, alpha).cut
+            return measure_of(self, cut.intersection(a))
+
+        top = float(f.samples.max())
+        if top <= 0.0 or a.is_empty:
+            return 0.0
+        if g(top) >= top:
+            return top
+        lo, hi = 0.0, top
+        while hi - lo > integrals.BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if g(mid) >= mid:
+                lo = mid
+            else:
+                hi = mid
+        return max(lo, min(hi, g(hi)))
 
 
 @dataclass(frozen=True, eq=False)
