@@ -9,6 +9,7 @@ write one ``error:`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -497,10 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main builds one parser per process; parsing leaves a parser as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(raw))
+    args = _parser().parse_args(_merge_negative_values(raw))
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

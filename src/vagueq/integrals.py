@@ -55,31 +55,24 @@ def alpha_cut(f: GridFunction, alpha: float, strict: bool = False) -> AlphaCut:
     Crossing points between nodes are found by inverse interpolation on
     the straddling cell, so the cut and every integral agree about where
     the function sits relative to the threshold.  Plateaus exactly at
-    alpha belong to the non-strict cut only.
+    alpha belong to the non-strict cut only.  In one array pass, each cell
+    with its nodes on either side of alpha gives one crossing; with the end
+    nodes where satisfied, they alternate run start, run end.
     """
     alpha = float(alpha)
-    ys = f.samples
-    xs = f.nodes
+    ys, xs = f.samples, f.nodes
     sat = _superlevel(ys, alpha, strict)
-    if not sat.any():
-        return AlphaCut(alpha, IntervalSet.empty(), strict)
-    idx = np.flatnonzero(sat)
-    # maximal runs of satisfied nodes
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([idx[0]], idx[breaks + 1]))
-    ends = np.concatenate((idx[breaks], [idx[-1]]))
-
-    def crossing(k: int) -> float:
-        # x where the segment on cell [k, k+1] meets alpha
-        y0, y1 = float(ys[k]), float(ys[k + 1])
-        return float(xs[k]) + (alpha - y0) * (float(xs[k + 1]) - float(xs[k])) / (y1 - y0)
-
-    pieces: list[tuple[float, float]] = []
-    for s, e in zip(starts, ends):
-        lo = float(xs[s]) if s == 0 else crossing(s - 1)
-        hi = float(xs[e]) if e == ys.size - 1 else crossing(e)
-        pieces.append((lo, hi))
-    return AlphaCut(alpha, IntervalSet.from_pairs(pieces), strict)
+    k = np.flatnonzero(sat[:-1] != sat[1:])
+    x0, y0 = xs[k], ys[k]
+    h, d = xs[k + 1] - x0, ys[k + 1] - y0
+    # (alpha - y0) * h / d rounds as a per-run loop does; where the product
+    # overflows, divide first, so the crossing stays finite
+    with np.errstate(over="ignore"):
+        step = (alpha - y0) * h / d
+    big = np.isinf(step)
+    step[big] = (alpha - y0[big]) / d[big] * h[big]
+    ends = np.concatenate((xs[:1][sat[:1]], x0 + step, xs[-1:][sat[-1:]]))
+    return AlphaCut(alpha, IntervalSet.from_pairs(ends.reshape(-1, 2).tolist()), strict)
 
 
 def alpha_cut_finite(
@@ -113,12 +106,14 @@ def sugeno_integral(f, a, m) -> float:
     crossing of g(alpha) = mu(a intersect {f >= alpha}) with the identity,
     down to a bracket of 1e-10 or of adjacent floats, whichever is wider.
     Either way an event outside the measure's span or f's is an error,
-    whatever f is.  The route is ``m``'s own method.
+    whatever f is.  The route is ``m``'s own method; a non-measure is refused.
     """
-    if isinstance(f, FiniteFuzzySet):
-        return m._sugeno_finite(f, a)
-    if isinstance(f, GridFunction):
-        if not isinstance(a, IntervalSet):
-            raise ValueError("grid Sugeno integration takes an IntervalSet event")
-        return m._sugeno_grid(f, a)
-    raise ValueError("f must be a FiniteFuzzySet or GridFunction")
+    if not isinstance(f, (FiniteFuzzySet, GridFunction)):
+        raise ValueError("f must be a FiniteFuzzySet or GridFunction")
+    grid = isinstance(f, GridFunction)
+    if grid and not isinstance(a, IntervalSet):
+        raise ValueError("grid Sugeno integration takes an IntervalSet event")
+    route = getattr(m, "_sugeno_grid" if grid else "_sugeno_finite", None)
+    if route is None:
+        raise ValueError(f"m must be a measure, got {type(m).__name__}")
+    return route(f, a)

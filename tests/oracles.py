@@ -180,6 +180,36 @@ def max_over_loop(f: GridFunction, a: IntervalSet) -> float:
     return best
 
 
+def alpha_cut_loop(f: GridFunction, alpha: float, strict: bool = False) -> IntervalSet:
+    """``alpha_cut`` run by run: each maximal run of satisfied nodes is one
+    piece, ended by a grid end or by the crossing on the cell past the run.
+
+    The reference for the array cut, which must match it bit for bit
+    wherever ``(alpha - y0) * h`` stays finite.
+    """
+    ys, xs = f.samples, f.nodes
+    sat = (ys > alpha) if strict else (ys >= alpha)
+
+    def crossing(k: int) -> float:
+        y0, y1 = float(ys[k]), float(ys[k + 1])
+        return float(xs[k]) + (alpha - y0) * (float(xs[k + 1]) - float(xs[k])) / (y1 - y0)
+
+    pieces = []
+    k, n = 0, ys.size
+    while k < n:
+        if not sat[k]:
+            k += 1
+            continue
+        start = k
+        while k + 1 < n and sat[k + 1]:
+            k += 1
+        lo = float(xs[0]) if start == 0 else crossing(start - 1)
+        hi = float(xs[-1]) if k == n - 1 else crossing(k)
+        pieces.append((lo, hi))
+        k += 1
+    return IntervalSet.from_pairs(pieces)
+
+
 def localization_sweep_loop(
     w: WavefunctionSpec, a: float, b: float, steps: int = 200
 ) -> list[tuple[float, float, float, float]]:

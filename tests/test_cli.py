@@ -331,7 +331,7 @@ def test_integrate_lebesgue(capsys, normal_csv):
     assert abs(float(out_lines(out)["integral"]) - 0.682689) <= 1e-4
 
 
-def test_integrate_sugeno_finite(capsys, f_finite, pi_finite):
+def test_integrate_sugeno_finite(capsys, tmp_path, f_finite, pi_finite):
     code, out, _ = run_cli(
         capsys,
         "integrate",
@@ -345,6 +345,11 @@ def test_integrate_sugeno_finite(capsys, f_finite, pi_finite):
     )
     assert code == 0
     assert out_lines(out)["sugeno"] == "0.500000000"
+    code, _, err = run_cli(
+        capsys, "integrate", "sugeno", "--function", f"finite:{f_finite}",
+        "--measure", f"possibilistic:finite={pi_finite}", "--subset", "x1", "--csv", str(tmp_path / "f.csv"),
+    )
+    assert code == 1 and err == "error: --csv needs a grid function\n"
 
 
 def test_integrate_sugeno_grid(capsys, tmp_path):
@@ -538,6 +543,9 @@ def test_qubit_numeric_unitary(capsys):
     )
     assert code == 0
     assert out_lines(out)["mu0"] == "0.500000000"
+    code, out, err = run_cli(capsys, "qubit", "--init", "0", "--gate", "u:1,0,0,0,0,1")
+    assert code == 1 and out == ""
+    assert err == "error: u: gate needs 8 numbers (re,im per entry, row-major)\n"
 
 
 @pytest.mark.parametrize("gate", ["u:1,0,0,0,0,0,1,x", "u:"])
@@ -759,6 +767,18 @@ def test_oversized_counts_exit_1_before_any_output(capsys, tmp_path):
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
     assert not sweep_path.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("gaussian:mu", "expected key=value, got 'mu'"),
+    ("gaussian:mu=1,k=2", "unexpected spec key 'k'"),
+])
+def test_malformed_spec_items_exit_1(capsys, spec, message):
+    code, out, err = run_cli(
+        capsys, "localize", "--wavefunction", spec, "--interval", "-1,1"
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_spec_kinds_exit_1(capsys):

@@ -129,6 +129,14 @@ def test_constructor_rejects_bad_grades_and_duplicates():
         FiniteFuzzySet(("a", "a"), [0.1, 0.2])
     with pytest.raises(ValueError):
         FiniteFuzzySet((), [])
+    with pytest.raises(ValueError, match=r"expected 2 grades, got shape \(1,\)"):
+        FiniteFuzzySet(("a", "b"), [0.1])
+
+
+def test_grade_of_names_an_unknown_label():
+    assert fs(0.1, 0.2).grade_of("x2") == 0.2
+    with pytest.raises(ValueError, match="label 'x3' not in universe"):
+        fs(0.1, 0.2).grade_of("x3")
 
 
 def test_vectorized_grades_match_the_as_grade_loop_bit_for_bit():
@@ -448,6 +456,9 @@ def test_grid_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("a,b\n0.0,1.0\n1.0,1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
+        read_grid_csv(path)
+    path.write_text("x,value\n0.0,1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="need at least 2 rows"):
         read_grid_csv(path)
 
 

@@ -19,7 +19,7 @@ from vagueq import (
 )
 from vagueq import integrals
 
-from oracles import sugeno_bruteforce_oracle, sugeno_grid_bisection_oracle
+from oracles import alpha_cut_loop, sugeno_bruteforce_oracle, sugeno_grid_bisection_oracle
 
 
 def triangle() -> GridFunction:
@@ -67,6 +67,30 @@ def test_cut_splits_into_disjoint_pieces():
     bumps = GridFunction(0.0, 4.0, [0.0, 1.0, 0.0, 1.0, 0.0])
     cut = alpha_cut(bumps, 0.5)
     assert cut.cut.intervals == ((0.5, 1.5), (2.5, 3.5))
+
+
+def test_cut_matches_the_per_run_loop_bit_for_bit():
+    rng = np.random.default_rng(1709)
+    for n in (2, 3, 7, 101, 2000):
+        xs = np.linspace(-8.0, 8.0, n)
+        for y in (np.exp(-0.5 * xs * xs), rng.random(n), np.zeros(n),
+                  np.round(4.0 * rng.random(n)) / 4.0):
+            for lo, hi in ((-8.0, 8.0), (-1e-300, 1e-300), (0.0, 1e6)):
+                f = GridFunction(lo, hi, y)
+                levels = [0.0, 0.25, float(y.max()), *rng.choice(y, 4), *rng.random(3)]
+                for alpha in levels:
+                    for strict in (False, True):
+                        got = alpha_cut(f, alpha, strict).cut
+                        assert got == alpha_cut_loop(f, float(alpha), strict), (n, alpha)
+
+
+def test_cut_crossing_stays_finite_where_the_interpolation_product_overflows():
+    # (alpha - y0) * h = 2.9e8 * 1e300 overflows; the crossing still lies
+    # 29/30 of the way up the rising cell and 1/30 down the falling one
+    rising = GridFunction(0.0, 1e300, [0.0, 3e8])
+    assert alpha_cut(rising, 2.9e8).cut.intervals == ((9.666666666666667e299, 1e300),)
+    falling = GridFunction(0.0, 1e300, [3e8, 0.0])
+    assert alpha_cut(falling, 2.9e8).cut.intervals == ((0.0, 3.3333333333333335e298),)
 
 
 def test_cut_rejects_negative_alpha():
@@ -227,6 +251,14 @@ def test_domain_mismatches_are_errors():
         sugeno_integral([0.5], None, m)
 
 
+@pytest.mark.parametrize("grid", [False, True], ids=["finite", "grid"])
+@pytest.mark.parametrize("m", [None, 0.5, {"x1": 1.0}], ids=["None", "float", "dict"])
+def test_sugeno_refuses_a_non_measure(m, grid):
+    f, a = (triangle(), IntervalSet.interval(0.0, 1.0)) if grid else (worked_instance()[0], None)
+    with pytest.raises(ValueError, match=f"m must be a measure, got {type(m).__name__}$"):
+        sugeno_integral(f, a, m)
+
+
 # --- Sugeno integral, oracle equivalence ---------------------------------------
 
 def random_finite_instance(rng, n):
@@ -353,6 +385,24 @@ def test_grid_integral_empty_event_is_zero():
     pi = normal_density(n=101).scaled_by_max()
     m = MeasureSpec.possibilistic(pi)
     assert sugeno_integral(pi, IntervalSet.empty(), m) == 0.0
+
+
+def test_additive_grid_sugeno_returns_early_without_bisecting(monkeypatch):
+    cuts = []
+    original = integrals.alpha_cut
+    monkeypatch.setattr(
+        integrals, "alpha_cut", lambda *a: cuts.append(a) or original(*a)
+    )
+    m = MeasureSpec.additive(normal_density())
+    window = IntervalSet.interval(-1.0, 1.0)
+    zero, tenth = (GridFunction(-8.0, 8.0, np.full(10001, v)) for v in (0.0, 0.1))
+    # nothing to cut: an empty event or f = 0 is 0
+    assert sugeno_integral(tenth, IntervalSet.empty(), m) == 0.0
+    assert sugeno_integral(zero, window, m) == 0.0
+    assert cuts == []
+    # g(max f) = mu([-1, 1)) = 0.68 >= 0.1 = max f: the top level, after one cut
+    assert sugeno_integral(tenth, window, m) == 0.1
+    assert len(cuts) == 1
 
 
 def test_grid_bisection_ends_when_levels_outgrow_the_tolerance(monkeypatch):

@@ -89,3 +89,4 @@ def test_inclusion_exclusion_of_lengths(a, b):
 
 def test_union_all_of_nothing_is_empty():
     assert union_all([]).is_empty
+    assert IntervalSet.empty().span() is None

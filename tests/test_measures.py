@@ -53,6 +53,8 @@ def test_possibilistic_requires_sup_one():
     xs = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ValueError, match="supremum"):
         MeasureSpec.possibilistic(GridFunction(0.0, 1.0, 0.5 * np.ones(11)))
+    with pytest.raises(ValueError, match="GridFunction or FiniteFuzzySet"):
+        MeasureSpec.possibilistic([0.5, 1.0])
 
 
 def _table_2():
@@ -101,6 +103,15 @@ def test_table_measure_rejects_bad_boundary_values():
     t = _table_2() | {("a", "b"): 0.9}
     with pytest.raises(ValueError, match="universe"):
         MeasureSpec.from_table(("a", "b"), t)
+
+
+def test_table_measure_rejects_foreign_duplicate_and_repeated_labels():
+    with pytest.raises(ValueError, match=r"foreign labels \['c'\]"):
+        MeasureSpec.from_table(("a", "b"), _table_2() | {("a", "c"): 1.0})
+    with pytest.raises(ValueError, match=r"duplicate table entry for \['a', 'b'\]"):
+        MeasureSpec.from_table(("a", "b"), _table_2() | {("b", "a"): 1.0})
+    with pytest.raises(ValueError, match="unique"):
+        MeasureSpec.from_table(("a", "a"), {(): 0.0, ("a",): 1.0})
 
 
 def test_table_measure_rejects_large_universes():
@@ -260,6 +271,8 @@ def test_table_measure_file_round_trip(tmp_path):
     again = read_table_measure(path)
     assert again.universe == m.universe
     assert again.table == m.table
+    with pytest.raises(ValueError, match="only table measures"):
+        write_table_measure(MeasureSpec.possibilistic(finite_pi()), path)
 
 
 def test_table_file_uses_braces_for_empty_subset(tmp_path):
@@ -289,6 +302,9 @@ def test_table_file_rejects_malformed_lines(tmp_path):
     path = tmp_path / "measure.txt"
     path.write_text("just-a-key-no-value\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected 'subset,value'"):
+        read_table_measure(path)
+    path.write_text("{},0.0\na|,0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"measure\.txt:2: empty label in subset"):
         read_table_measure(path)
 
 
