@@ -3,13 +3,15 @@
 Numeric results print as ``key = value`` lines; CSV dumps go behind
 ``--csv`` (sweeps) or ``--dump-density`` (re-ingestable samples).  Exit
 codes: 0 on success, 1 on domain errors, 2 on usage errors; both errors
-write one ``error:`` line to stderr.
+write one ``error:`` line to stderr and nothing to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import os
 import sys
 
@@ -505,11 +507,18 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     args = _parser().parse_args(_merge_negative_values(raw))
+    # a handler's lines reach stdout only once it succeeds: a failed call
+    # prints its one error line and nothing else
+    out = io.StringIO()
     try:
-        return args.handler(args)
+        with contextlib.redirect_stdout(out):
+            code = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if code == 0:
+        sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ universes are uniform 1-D grids read piecewise-linearly between nodes.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -139,6 +140,26 @@ def is_normalized(a: FiniteFuzzySet, tol: float = 0.0) -> bool:
     return height(a) >= 1.0 - tol
 
 
+# one read-only nodes array per grid, shared by every live function on it;
+# keyed by the ends' bit patterns, since -0.0 == 0.0 but the last node keeps
+# its sign
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _grid_nodes(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)``, read-only and shared, once checked to be
+    strictly increasing."""
+    key = (lo.hex(), hi.hex(), n)
+    nodes = _NODES.get(key)
+    if nodes is None:
+        nodes = np.linspace(lo, hi, n)
+        if not np.all(nodes[1:] > nodes[:-1]):
+            raise ValueError(f"{n} nodes are not strictly increasing floats in [{lo}, {hi}]")
+        nodes.setflags(write=False)
+        _NODES[key] = nodes
+    return nodes
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A non-negative function sampled on a uniform 1-D grid.
@@ -172,11 +193,7 @@ class GridFunction:
         object.__setattr__(self, "x_max", hi)
         object.__setattr__(self, "samples", vals)
         self.samples.setflags(write=False)
-        nodes = np.linspace(lo, hi, vals.size)
-        if not np.all(nodes[1:] > nodes[:-1]):
-            raise ValueError(
-                f"{vals.size} nodes are not strictly increasing floats in [{lo}, {hi}]"
-            )
+        nodes = _grid_nodes(lo, hi, vals.size)
         h = (hi - lo) / (vals.size - 1)
         # cumulative trapezoid at nodes; shared by every integral query so
         # that integrals over abutting intervals telescope.  Compensated
@@ -191,7 +208,6 @@ class GridFunction:
             prefix[1:] += np.cumsum(err)
         if not math.isfinite(prefix[-1]):
             raise ValueError("the integral of the samples overflows")
-        nodes.setflags(write=False)
         prefix.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "spacing", h)

@@ -8,9 +8,10 @@ a max-min counterpart of the Lebesgue integral: summation becomes sup,
 multiplication becomes min.  Each measure type in ``measures`` owns its
 route: the sorted-value walk on a finite universe; on a grid, sup over a
 of min(f, pi) (Dubois & Prade) for a possibility measure, and for an
-additive one a bisection on the level through ``alpha_cut``, down to
-``BISECTION_TOL``.  ``sugeno_integral`` checks f and the event and hands
-them to the measure's route.
+additive one a bisection over f's sorted levels inside the event through
+``alpha_cut``, then an exact solve on the last bracket, where
+mu(a intersect {f >= alpha}) is one quadratic in alpha.  ``sugeno_integral``
+checks f and the event and hands them to the measure's route.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import numpy as np
 
 from .fuzzy import FiniteFuzzySet, GridFunction
 from .intervals import IntervalSet
-
-BISECTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,9 @@ def _superlevel(values: np.ndarray, alpha: float, strict: bool) -> np.ndarray:
     return (values > alpha) if strict else (values >= alpha)
 
 
-def alpha_cut(f: GridFunction, alpha: float, strict: bool = False) -> AlphaCut:
+def alpha_cut(
+    f: GridFunction, alpha: float, strict: bool = False, within: IntervalSet | None = None
+) -> AlphaCut:
     """Superlevel set of a grid function under its piecewise-linear reading.
 
     Crossing points between nodes are found by inverse interpolation on
@@ -58,9 +59,20 @@ def alpha_cut(f: GridFunction, alpha: float, strict: bool = False) -> AlphaCut:
     alpha belong to the non-strict cut only.  In one array pass, each cell
     with its nodes on either side of alpha gives one crossing; with the end
     nodes where satisfied, they alternate run start, run end.
+
+    With ``within``, only the cells covering its span are cut, and the cut
+    is ``alpha_cut(f, alpha, strict).cut.intersection(within)``, bit for bit.
     """
     alpha = float(alpha)
     ys, xs = f.samples, f.nodes
+    if within is not None:
+        lo, hi = within.span() or (f.x_min, f.x_min)
+        # from one cell before the cell holding lo to the first node at or past
+        # hi: a crossing never falls below its cell's left node but may round a
+        # few ulps past its right one, so none from outside this reaches [lo, hi)
+        j0 = max(int(xs.searchsorted(lo, side="right")) - 2, 0)
+        j1 = int(xs.searchsorted(hi, side="left")) + 1
+        ys, xs = ys[j0:j1], xs[j0:j1]
     sat = _superlevel(ys, alpha, strict)
     k = np.flatnonzero(sat[:-1] != sat[1:])
     x0, y0 = xs[k], ys[k]
@@ -72,7 +84,8 @@ def alpha_cut(f: GridFunction, alpha: float, strict: bool = False) -> AlphaCut:
     big = np.isinf(step)
     step[big] = (alpha - y0[big]) / d[big] * h[big]
     ends = np.concatenate((xs[:1][sat[:1]], x0 + step, xs[-1:][sat[-1:]]))
-    return AlphaCut(alpha, IntervalSet.from_pairs(ends.reshape(-1, 2).tolist()), strict)
+    cut = IntervalSet.from_pairs(ends.reshape(-1, 2).tolist())
+    return AlphaCut(alpha, cut if within is None else cut.intersection(within), strict)
 
 
 def alpha_cut_finite(
@@ -102,9 +115,10 @@ def sugeno_integral(f, a, m) -> float:
     iterable of labels or None for the whole universe.  Grid functions
     take ``a`` as an IntervalSet.  Against a possibility measure the
     integral is sup over a of min(f, pi), exact under the piecewise-linear
-    reading.  Against an additive measure it bisects [0, max f] for the
-    crossing of g(alpha) = mu(a intersect {f >= alpha}) with the identity,
-    down to a bracket of 1e-10 or of adjacent floats, whichever is wider.
+    reading.  Against an additive measure it finds the crossing of
+    g(alpha) = mu(a intersect {f >= alpha}) with the identity: a bisection
+    over f's sorted levels on ``a`` brackets it between two adjacent levels,
+    where g is one quadratic, and the crossing is that quadratic's root.
     Either way an event outside the measure's span or f's is an error,
     whatever f is.  The route is ``m``'s own method; a non-measure is refused.
     """

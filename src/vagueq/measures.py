@@ -152,38 +152,92 @@ class AdditiveMeasure(MeasureSpec):
         return self.density.integral_over(self._event(a))
 
     def _sugeno_grid(self, f: GridFunction, a: IntervalSet) -> float:
-        """The grid route: g(alpha) = mu(a intersect {f >= alpha}) is
+        """The grid route.  g(alpha) = mu(a intersect {f >= alpha}) is
         non-increasing, so min(alpha, g(alpha)) rises like alpha until g
-        crosses the identity and falls with g afterwards.  Bisect [0, max f]
-        for the crossing, keeping g(lo) >= lo and g(hi) < hi, until the
-        bracket is BISECTION_TOL wide or, for large levels whose ulp exceeds
-        it, no float lies strictly between lo and hi."""
+        crosses the identity and falls with g afterwards: the integral is
+        that crossing, or the level where g drops past it.
+
+        The levels are f at a's piece ends and at f's nodes on the pieces
+        and, when the density rho has another grid, f at rho's nodes on
+        them.  Take two adjacent levels l0 < l1.  For alpha in (l0, l1], no
+        node or piece end leaves or joins {f >= alpha}, so each end of the
+        cut inside a is a piece end or a crossing
+        x0 + (alpha - y0) h / d in one fixed cell of f: affine in alpha,
+        and, since rho's nodes are levels too, inside one fixed cell of
+        rho.  There rho is linear, its cumulative is quadratic in x, and g,
+        a sum of differences of it, is one quadratic
+        q(tau) = A tau^2 + B tau + C in alpha = l0 + tau (l1 - l0), tau in
+        (0, 1].  At alpha = l0 itself g may be larger: nodes at level l0 join.
+
+        A bisection over the sorted levels' indices, from 0 (g(0) >= 0 holds)
+        to inf past the top level (g is 0 there), keeps g(lo) >= lo and
+        g(hi) < hi until the two are adjacent, l0 and l1; if the top level
+        holds, it is the integral.  g at tau = 1/4, 1/2 and 3/4
+        fixes q; its second difference and its slope at 1/2 give
+        A = 8 (y1 - 2 y2 + y3), B = -10 y1 + 16 y2 - 6 y3 and
+        C = 3 y1 - 3 y2 + y3.  These points keep off the bracket's ends: a
+        level read off f between nodes is rounded, so g may already have
+        dropped an ulp before l1, and by much where f is nearly flat.  If
+        q(0+) = C <= l0, g falls to l0 or below just past l0 (a plateau of f
+        at l0 holds what g loses there), and the integral is l0.  Otherwise
+        it is l0 + tau Delta, Delta = l1 - l0, tau the root in (0, 1] of
+        q(tau) = l0 + tau Delta, that is of A tau^2 + b tau + c = 0 with
+        b = B - Delta and c = C - l0 > 0.  Since q is non-increasing there,
+        b < 0, and the root is the one smaller in magnitude,
+        2 c / (sqrt(b^2 - 4 A c) - b), free of cancellation; it is clamped into
+        the bracket.  A bracket too narrow to hold its quarters, or whose y
+        are too noisy to give b < 0, returns l0, within Delta of the
+        crossing."""
         # before any early return, so the error never depends on f: measure_of
         # rejects an event outside the measure's domain or span, and reading the
         # event's ends rejects one outside f's span
         measure_of(self, a)
-        f._read(np.ravel(a.intervals))
+        parts = [[0.0, math.inf], f._read(np.ravel(a.intervals))[2]]
+        rho = self.density
+        for piece in a.intervals:
+            parts.append(f.samples[_on(f.nodes, *piece)])
+            if rho.nodes is not f.nodes:
+                parts.append(f._read(rho.nodes[_on(rho.nodes, *piece)])[2])
+        levels = np.sort(np.concatenate(parts))
 
         def g(alpha: float) -> float:
-            # read off the module, so a wrapper set on integrals.alpha_cut sees each cut
-            cut = integrals.alpha_cut(f, alpha).cut
-            return measure_of(self, cut.intersection(a))
+            # off the module and positional, so a wrapper on integrals.alpha_cut sees each cut
+            return measure_of(self, integrals.alpha_cut(f, alpha, False, a).cut)
 
-        top = float(f.samples.max())
-        if top <= 0.0 or a.is_empty:
+        top = float(levels[-2])
+        if top <= 0.0:  # f = 0 on a, or a is empty
             return 0.0
-        if g(top) >= top:
-            return top
-        lo, hi = 0.0, top
-        while hi - lo > integrals.BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if g(mid) >= mid:
+        # g(0) >= 0 always, and g(inf) = 0: bisect between them; a level equal
+        # to one already cut takes its answer without a cut
+        lo, hi = 0, levels.size - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if levels[mid] != levels[hi] and (
+                levels[mid] == levels[lo] or g(float(levels[mid])) >= levels[mid]
+            ):
                 lo = mid
             else:
                 hi = mid
-        return max(lo, min(hi, g(hi)))
+        if hi == levels.size - 1:
+            return top
+        l0, l1 = float(levels[lo]), float(levels[hi])
+        delta = l1 - l0
+        t1, t2, t3 = (l0 + k * delta / 4.0 for k in (1.0, 2.0, 3.0))
+        if not l0 < t1 < t2 < t3 < l1:
+            return l0
+        y1, y2, y3 = g(t1), g(t2), g(t3)
+        c = 3.0 * (y1 - y2) + y3 - l0
+        b = -10.0 * y1 + 16.0 * y2 - 6.0 * y3 - delta
+        if not (c > 0.0 and b < 0.0):  # q(0+) <= l0, or q rising by rounding alone
+            return l0
+        a2 = 8.0 * (y1 - 2.0 * y2 + y3)
+        # (sqrt(b^2 - 4 A c) - b) / 2 with b^2 taken out of the root, so nothing
+        # squares into an overflow; the root times delta is c delta / w, the
+        # larger of the two divided first, so that no quotient underflows when
+        # the measure and the levels are far apart in scale
+        w = 0.5 * (-b * (1.0 + math.sqrt(max(1.0 - 4.0 * (a2 / b) * (c / b), 0.0))))
+        step = max(c, delta) / w * min(c, delta)
+        return min(l0 + step, l1) if step >= 0.0 else l0  # nan only if the y overflow
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +315,11 @@ class PossibilityMeasure(MeasureSpec):
 def _inside(nodes: np.ndarray, lo: float, hi: float) -> slice:
     """The slice of ``nodes`` strictly between lo and hi."""
     return slice(nodes.searchsorted(lo, side="right"), nodes.searchsorted(hi, side="left"))
+
+
+def _on(nodes: np.ndarray, lo: float, hi: float) -> slice:
+    """The slice of ``nodes`` in [lo, hi], ends included."""
+    return slice(nodes.searchsorted(lo, side="left"), nodes.searchsorted(hi, side="right"))
 
 
 def _sup_min(fv: np.ndarray, pv: np.ndarray) -> float:

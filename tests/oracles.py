@@ -16,10 +16,10 @@ from vagueq import (
     ket0,
     measure_of,
 )
-from vagueq.integrals import BISECTION_TOL
 from vagueq.localize import MAX_SWEEP_STEPS, WavefunctionSpec, _density_on_window
 
 MAX_ORACLE_UNIVERSE = 16
+BISECTION_TOL = 1e-10
 
 
 def sugeno_bruteforce_oracle(
@@ -70,8 +70,9 @@ def sugeno_grid_bisection_oracle(f: GridFunction, a: IntervalSet, m: MeasureSpec
 
     g is non-increasing, so min(alpha, g(alpha)) rises with alpha until g
     crosses the identity: bisect [0, max f] for the crossing, down to
-    ``BISECTION_TOL`` or adjacent floats.  The reference for the exact
-    sup-min route of possibility measures, which must match it within 1e-10.
+    ``BISECTION_TOL`` or adjacent floats.  The reference for both grid
+    routes: the exact sup-min route of possibility measures, which must
+    match it within 1e-10, and the additive route's exact last bracket.
     """
     # before any early return, so the error never depends on f: a must lie in
     # the measure's span and in f's (integral_over reads a's ends)

@@ -177,7 +177,7 @@ def test_fuzzy_union_requires_b(capsys, tmp_path):
 
 # --- measure subcommand -----------------------------------------------------------
 
-def test_measure_eval_possibilistic_finite(capsys, pi_finite):
+def test_measure_eval_possibilistic_finite(capsys, tmp_path, pi_finite):
     code, out, _ = run_cli(
         capsys,
         "measure",
@@ -189,6 +189,13 @@ def test_measure_eval_possibilistic_finite(capsys, pi_finite):
     )
     assert code == 0
     assert out_lines(out)["measure"] == "0.600000000"
+    # a failed call prints no result line, only its error
+    code, out, err = run_cli(
+        capsys, "measure", "eval", "--measure", f"possibilistic:finite={pi_finite}",
+        "--subset", "x2|x3", "--csv", str(tmp_path / "pi.csv"),
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --csv needs a measure with a grid payload\n"
 
 
 def test_measure_eval_additive(capsys, normal_csv):
@@ -345,11 +352,12 @@ def test_integrate_sugeno_finite(capsys, tmp_path, f_finite, pi_finite):
     )
     assert code == 0
     assert out_lines(out)["sugeno"] == "0.500000000"
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "integrate", "sugeno", "--function", f"finite:{f_finite}",
         "--measure", f"possibilistic:finite={pi_finite}", "--subset", "x1", "--csv", str(tmp_path / "f.csv"),
     )
     assert code == 1 and err == "error: --csv needs a grid function\n"
+    assert out == ""
 
 
 def test_integrate_sugeno_grid(capsys, tmp_path):

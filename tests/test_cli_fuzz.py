@@ -254,7 +254,7 @@ def strategy(files):
 @given(data=st.data())
 def test_every_argv_keeps_the_cli_contract(strategy, data):
     argv = data.draw(strategy, label="argv")
-    code, _, err, caught = run(argv)
+    code, out, err, caught = run(argv)
     assert code in (0, 1, 2), (argv, code)
     assert not caught, (argv, [str(w.message) for w in caught])
     if code == 0:
@@ -262,6 +262,7 @@ def test_every_argv_keeps_the_cli_contract(strategy, data):
     else:
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
         assert err.endswith("\n")
+        assert out == "", (argv, out)  # a failed call prints no result lines
 
 
 def test_known_overflows_end_in_one_error_line(files):

@@ -452,6 +452,31 @@ def test_grid_refuses_nodes_that_are_not_increasing_floats():
     assert GridFunction(0.0, 5e-324, [1.0, 1.0]).spacing == 5e-324
 
 
+def test_functions_on_one_grid_share_one_read_only_nodes_array(tmp_path):
+    f = GridFunction(-1.0, 2.0, np.linspace(0.0, 1.0, 7))
+    g = GridFunction(-1.0, 2.0, np.ones(7))
+    assert f.nodes is g.nodes and not f.nodes.flags.writeable
+    assert GridFunction(-1.0, 2.0, np.ones(8)).nodes is not f.nodes
+    assert f.scaled_by_max().nodes is f.nodes
+    # -0.0 == 0.0, yet each grid keeps its own last node's sign, whichever is
+    # built first, and writes the CSV its np.linspace nodes write
+    path = tmp_path / "grid.csv"
+    for ends in ((0.0, -0.0), (-0.0, 0.0)):
+        grids = [GridFunction(-1.0, end, np.ones(3)) for end in ends]
+        for end, grid in zip(ends, grids):
+            assert math.copysign(1.0, grid.nodes[-1]) == math.copysign(1.0, end)
+            write_grid_csv(grid, path)
+            rows = "".join(f"{x!r},1.0\n" for x in np.linspace(-1.0, end, 3).tolist())
+            assert path.read_bytes() == ("x,value\n" + rows).encode()
+    # a refused grid's nodes are not kept: while the first refusal's traceback
+    # still holds them, a second try is refused again
+    with pytest.raises(ValueError, match="not strictly increasing") as refused:
+        GridFunction(0.0, 5e-324, np.ones(101))
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        GridFunction(0.0, 5e-324, np.ones(101))
+    assert refused.value
+
+
 def test_grid_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("a,b\n0.0,1.0\n1.0,1.0\n", encoding="utf-8")

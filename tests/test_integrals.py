@@ -93,6 +93,42 @@ def test_cut_crossing_stays_finite_where_the_interpolation_product_overflows():
     assert alpha_cut(falling, 2.9e8).cut.intervals == ((0.0, 3.3333333333333335e298),)
 
 
+def test_cut_within_an_event_is_the_full_cut_intersected_with_it():
+    # only the cells covering the event's span are cut; the result must be
+    # the full cut intersected with the event, bit for bit, on tiny, huge
+    # and one-ulp-per-cell spans too
+    rng = np.random.default_rng(1710)
+    spans = ((-8.0, 8.0), (0.0, 5e-323), (1.0, 1.0 + 2.0 ** -46), (-1e300, 1e300), (-3.0, -0.0))
+    for lo, hi in spans:
+        for n in (2, 3, 7, 40):
+            if n > 2 and hi == 5e-323:
+                continue  # fewer floats than nodes: the grid refuses it
+            # huge samples only where the span keeps their integral finite
+            y = rng.random(n) * float(rng.choice([1.0, 1e300 if hi - lo < 1e3 else 1.0, 1e-300]))
+            f = GridFunction(lo, hi, np.round(4.0 * y / y.max()) / 4.0 * y.max() if n % 2 else y)
+            pool = np.concatenate((f.nodes, rng.uniform(lo, hi, 6)))
+            for _ in range(60):
+                pts = np.sort(rng.choice(pool, 2 * int(rng.integers(1, 4))))
+                within = IntervalSet.from_pairs(zip(pts[::2].tolist(), pts[1::2].tolist()))
+                for alpha in (0.0, float(rng.choice(f.samples)), float(rng.random() * f.samples.max())):
+                    for strict in (False, True):
+                        got = alpha_cut(f, alpha, strict, within)
+                        want = alpha_cut(f, alpha, strict).cut.intersection(within)
+                        assert got.cut == want, (lo, hi, n, alpha, within)
+                        assert (got.alpha, got.strict) == (alpha, strict)
+    # the crossing on the cell before the event rounds 3 ulps past its right
+    # node, the event's left end: the cut must start there, not at the node
+    f = GridFunction(-1.0760154925818752, 2.5726352315939045,
+                     [0.2600974477372232, 0.592941018104284, 0.592941018104284])
+    within = IntervalSet.interval(float(f.nodes[1]), f.x_max)
+    got = alpha_cut(f, 0.592941018104284, False, within).cut
+    assert got.intervals == ((0.7483098695060149, 2.5726352315939045),)
+    assert got.intervals[0][0] > f.nodes[1]
+    assert alpha_cut(triangle(), 0.5, False, IntervalSet.empty()).cut.is_empty
+    with pytest.raises(ValueError, match="alpha"):
+        alpha_cut(triangle(), -0.1, False, IntervalSet.empty())
+
+
 def test_cut_rejects_negative_alpha():
     with pytest.raises(ValueError, match="alpha"):
         alpha_cut(triangle(), -0.1)
@@ -497,6 +533,98 @@ def test_possibility_grid_sugeno_makes_no_alpha_cut(monkeypatch):
     assert cuts == []
     sugeno_integral(f, off_peak, MeasureSpec.additive(normal_density(n=2001)))
     assert len(cuts) > 2  # the additive route still bisects
+
+
+def test_additive_grid_sugeno_matches_the_bisection_oracle(monkeypatch):
+    # seeded densities and integrands, with flat cells and plateaus at a
+    # level (samples rounded to quarters), on shared and different grids
+    cuts = []
+    original = integrals.alpha_cut
+    monkeypatch.setattr(integrals, "alpha_cut", lambda *a: cuts.append(a) or original(*a))
+    rng = np.random.default_rng(4343)
+    for trial in range(80):
+        lo = float(rng.uniform(-3.0, 0.0))
+        hi = lo + float(rng.uniform(0.5, 5.0))
+        n = int(rng.integers(2, 400))
+        xs = np.linspace(lo, hi, n)
+        ds = np.exp(-(((xs - rng.uniform(lo, hi)) / rng.uniform(0.1, 2.0)) ** 2))
+        ds *= float(rng.choice([0.3, 1.0, 5.0]))
+        if trial % 4 == 0:  # flat cells
+            ds = np.round(4.0 * ds) / 4.0
+        rho = GridFunction(lo, hi, ds)
+        scale = float(rng.choice([0.5, 1.0, 3.0]))
+        if trial % 3 == 0:  # the same grid
+            fs = rng.random(n) * scale
+        else:  # a wider span and another size
+            nf = int(rng.integers(2, 400))
+            fs = rng.random(nf) * scale
+            f_lo, f_hi = lo - rng.uniform(0.0, 1.0), hi + rng.uniform(0.0, 1.0)
+        if trial % 2 == 0:  # plateaus exactly at a level
+            fs = np.round(4.0 * fs) / 4.0
+        f = GridFunction(lo, hi, fs) if trial % 3 == 0 else GridFunction(f_lo, f_hi, fs)
+        m = MeasureSpec.additive(rho)
+        ends = rng.choice(rho.nodes, 2 * int(rng.integers(1, 5)), replace=n < 8)
+        ends[:2] = lo, hi  # piece ends at x_min and x_max
+        events = [
+            _random_pieces(rng, lo, hi),
+            IntervalSet.from_pairs(zip(np.sort(ends)[::2].tolist(), np.sort(ends)[1::2].tolist())),
+            rho.full_span(),
+            IntervalSet.empty(),
+        ]
+        for a in events:
+            cuts.clear()
+            got = sugeno_integral(f, a, m)
+            count = len(cuts)
+            assert abs(got - sugeno_grid_bisection_oracle(f, a, m)) <= 2e-10, (trial, a)
+            # at most ceil(log2(levels + 1)) + 3 cuts, the levels being at
+            # most the piece ends and the nodes of both grids
+            levels = 2 * len(a.intervals) + f.n + rho.n
+            assert count <= math.ceil(math.log2(levels + 1)) + 3, (trial, count)
+
+            def g(alpha):
+                return measure_of(m, alpha_cut(f, alpha).cut.intersection(a))
+
+            # the fixed-point sandwich, on the public cut and measure
+            if got >= 1e-9:
+                assert g(got - 1e-9) >= got - 1e-9, (trial, a)
+            assert g(got + 1e-9) < got + 1e-9, (trial, a)
+
+
+def test_additive_grid_sugeno_where_f_is_flat_to_a_few_ulps():
+    # a level read off f between nodes is rounded; where f varies by a few
+    # ulps, g drops by much within an ulp of such a level, so the last
+    # bracket must not be solved from g at its ends
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        base = float(rng.choice([1e-3, 0.5, 7.0]))
+        ulps = rng.integers(0, 6, int(rng.integers(2, 100))) * float(rng.choice([1.0, 3.0, 1e3]))
+        f = GridFunction(0.0, 1.0, base + ulps * np.spacing(base))
+        ds = rng.random(int(rng.integers(2, 100))) * base * float(rng.choice([0.5, 2.0, 4.0]))
+        m = MeasureSpec.additive(GridFunction(0.0, 1.0, ds))
+        for a in (f.full_span(), IntervalSet.interval(0.2, 0.7)):
+            want = sugeno_grid_bisection_oracle(f, a, m)
+            assert abs(sugeno_integral(f, a, m) - want) <= 2e-10, (trial, a)
+
+
+def test_additive_grid_sugeno_at_a_plateau_and_where_f_is_zero_on_the_event(monkeypatch):
+    # f = 0.5 on [1, 3], rising to 0.9 at 4; rho = 1/4 on [0, 4].  At 0.5,
+    # g = 0.75 >= 0.5; just above it only the last cell is left, g <= 0.25:
+    # the integral is the plateau's level itself
+    f = GridFunction(0.0, 4.0, [0.2, 0.5, 0.5, 0.5, 0.9])
+    m = MeasureSpec.additive(GridFunction(0.0, 4.0, np.full(5, 0.25)))
+    assert sugeno_integral(f, f.full_span(), m) == 0.5
+    # f = 0 on the event but positive elsewhere: the integral is 0
+    bump = GridFunction(0.0, 4.0, [0.0, 0.0, 0.0, 0.0, 0.9])
+    assert sugeno_integral(bump, IntervalSet.interval(0.5, 3.0), m) == 0.0
+    assert sugeno_integral(bump, IntervalSet.empty(), m) == 0.0
+    # f in quarters: many nodes share each level, and no level is cut twice
+    cuts = []
+    original = integrals.alpha_cut
+    monkeypatch.setattr(integrals, "alpha_cut", lambda *a: cuts.append(a[1]) or original(*a))
+    quarters = GridFunction(0.0, 1.0, np.round(4.0 * np.random.default_rng(3).random(2001)) / 4.0)
+    flat = MeasureSpec.additive(GridFunction(0.0, 1.0, np.full(2001, 0.3)))
+    sugeno_integral(quarters, IntervalSet.interval(0.1, 0.9), flat)
+    assert len(cuts) == len(set(cuts)) == 5
 
 
 @pytest.mark.parametrize("route", ["possibilistic", "additive"])
