@@ -14,9 +14,8 @@ Usage:
 """
 
 import argparse
-import csv
 
-from vagueq import WavefunctionSpec, localization_sweep, localize
+from vagueq import WavefunctionSpec, localization_sweep, localize, write_sweep_csv
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -42,10 +41,7 @@ def main(argv=None) -> int:
         print(f"{x:>10.4f}  {prob:>12.6f}  {poss:>12.6f}")
 
     if cfg.csv_path:
-        with open(cfg.csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")  # as `vagueq localize --csv`
-            writer.writerow(["a", "b", "probability", "possibility"])
-            writer.writerows(rows)
+        write_sweep_csv(rows, cfg.csv_path)  # as `vagueq localize --csv`
         print(f"wrote {len(rows)} rows to {cfg.csv_path}")
 
     # A narrow window on the peak against a wide window in the tail: the

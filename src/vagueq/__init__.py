@@ -11,6 +11,17 @@ call.
 The names imported below are the public API.
 """
 
+from .formats import (
+    read_fuzzy_set,
+    read_grade_table,
+    read_grid_csv,
+    read_table_measure,
+    write_fuzzy_set,
+    write_grade_table,
+    write_grid_csv,
+    write_sweep_csv,
+    write_table_measure,
+)
 from .fuzzy import (
     FiniteFuzzySet,
     GridFunction,
@@ -21,10 +32,6 @@ from .fuzzy import (
     fuzzy_union,
     height,
     is_normalized,
-    read_fuzzy_set,
-    read_grid_csv,
-    write_fuzzy_set,
-    write_grid_csv,
 )
 from .integrals import (
     AlphaCut,
@@ -40,8 +47,6 @@ from .language import (
     language_from_table,
     language_intersection,
     language_union,
-    read_grade_table,
-    write_grade_table,
     zeros_then_ones_grade,
     zeros_then_ones_language,
 )
@@ -60,8 +65,6 @@ from .measures import (
     check_additivity,
     check_possibility_union_axiom,
     measure_of,
-    read_table_measure,
-    write_table_measure,
 )
 from .qubits import (
     FuzzyQubitState,

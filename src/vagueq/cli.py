@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import io
 import os
@@ -17,32 +18,21 @@ import sys
 
 import numpy as np
 
+from .formats import (
+    read_fuzzy_set, read_grade_table, read_grid_csv, read_table_measure, write_fuzzy_set,
+    write_grid_csv, write_sweep_csv,
+)
 from .fuzzy import (
-    FiniteFuzzySet,
-    GridFunction,
-    TNormKind,
-    _write_rows,
-    fuzzy_complement,
-    fuzzy_intersection,
-    fuzzy_union,
-    read_fuzzy_set,
-    read_grid_csv,
-    write_fuzzy_set,
-    write_grid_csv,
+    FiniteFuzzySet, GridFunction, TNormKind, fuzzy_complement, fuzzy_intersection, fuzzy_union
 )
 from .integrals import grid_tolerance, sugeno_integral
 from .intervals import IntervalSet
-from .language import read_grade_table, zeros_then_ones_language
+from .language import zeros_then_ones_language
 from .localize import (
     DEFAULT_GRID_POINTS, WavefunctionSpec, localize, localization_sweep, realize_density
 )
 from .measures import (
-    AdditiveMeasure,
-    MeasureSpec,
-    check_additivity,
-    check_possibility_union_axiom,
-    measure_of,
-    read_table_measure,
+    AdditiveMeasure, MeasureSpec, check_additivity, check_possibility_union_axiom, measure_of
 )
 from .qubits import (
     FuzzyQubitState,
@@ -61,7 +51,6 @@ from .qubits import (
     parse_state_literal,
     tensor_product,
 )
-from .render import format_value
 
 SEED_ENV_VAR = "VAGUEQ_SEED"
 
@@ -81,7 +70,15 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def emit(key: str, value) -> None:
-    print(f"{key} = {format_value(value)}")
+    """Print one ``key = value`` line: booleans as true/false, integers bare,
+    reals with nine digits after the decimal point."""
+    if isinstance(value, (bool, np.bool_)):
+        text = "true" if value else "false"
+    elif isinstance(value, (int, np.integer)):
+        text = str(int(value))
+    else:
+        text = f"{float(value):.9f}"
+    print(f"{key} = {text}")
 
 
 def _parse_kv(body: str) -> dict[str, str]:
@@ -278,12 +275,12 @@ def _cmd_localize(args) -> int:
     w = WavefunctionSpec.from_samples(density)
     report = localize(w, a, b, time=args.time)
     rows = localization_sweep(w, a, b, steps=args.sweep_steps) if args.csv else None
-    for line in report.lines():
-        print(line)
+    for field in dataclasses.fields(report):
+        emit(field.name, getattr(report, field.name))
     if args.dump_density:
         write_grid_csv(density, args.dump_density)
     if rows is not None:
-        _write_rows(args.csv, rows, "a,b,probability,possibility")
+        write_sweep_csv(rows, args.csv)
     return 0
 
 

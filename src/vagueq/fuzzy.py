@@ -283,118 +283,3 @@ class GridFunction:
         if top <= 0.0:
             raise ValueError("cannot rescale an identically zero function")
         return GridFunction(self.x_min, self.x_max, self.samples / top)
-
-
-# --- plain-text formats ----------------------------------------------------
-# Every file format is ``key,value`` lines, read by ``_rows``: blank lines
-# and ``#`` lines are skipped, numbers must be finite, and each per-line
-# error names ``path:line``.  ``_write_rows`` writes them all, and each
-# writer first refuses what its reader would not read back.
-
-def _rows(path, shape: str):
-    """Yield ``(lineno, key, value)`` for each line, split at its last comma."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            key, sep, value = text.rpartition(",")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected {shape!r}")
-            yield lineno, key.strip(), value.strip()
-
-
-def _number(path, lineno: int, what: str, text: str) -> float:
-    """``text`` as a finite float, or an error naming ``path:line``."""
-    try:
-        v = float(text)
-    except ValueError:
-        v = math.nan
-    if not math.isfinite(v):
-        raise ValueError(f"{path}:{lineno}: cannot parse {what} {text!r}")
-    return v
-
-
-def _on_line(path, lineno: int, check, *args):
-    """``check(*args)``, its ValueError prefixed with ``path:line``."""
-    try:
-        return check(*args)
-    except ValueError as e:
-        raise ValueError(f"{path}:{lineno}: {e}") from None
-
-
-def _write_rows(path, rows, header: str | None = None) -> None:
-    """The one writer: ``header`` if given, then each row's cells joined by
-    commas, a string as it is and a number as its ``repr`` float, which
-    reads back exactly."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header is not None:
-            fh.write(header + "\n")
-        for row in rows:
-            cells = (c if isinstance(c, str) else repr(float(c)) for c in row)
-            fh.write(",".join(cells) + "\n")
-
-
-def _readable(label: str) -> str:
-    """``label`` if ``_rows`` reads it back as written: UTF-8 encodable, no
-    leading ``#``, no outer whitespace, no line break.  Writers call it
-    before the file is opened, so a refused label leaves no file behind."""
-    if (
-        label.encode("utf-8", "replace").decode("utf-8") != label  # a lone surrogate
-        or label.startswith("#") or label != label.strip() or set("\n\r") & set(label)
-    ):
-        raise ValueError(f"label {label!r} would not read back")
-    return label
-
-
-def write_fuzzy_set(fs: FiniteFuzzySet, path) -> None:
-    """Write ``label,grade`` lines (UTF-8, one element per line); a label the
-    reader would not read back is rejected."""
-    _write_rows(path, [(_readable(label), grade) for label, grade in fs.items()])
-
-
-def read_fuzzy_set(path) -> FiniteFuzzySet:
-    """Read ``label,grade`` lines; labels must be unique."""
-    grades: dict[str, float] = {}
-    for lineno, label, value in _rows(path, "label,grade"):
-        if label in grades:
-            raise ValueError(f"{path}:{lineno}: duplicate label {label!r}")
-        grades[label] = _number(path, lineno, "grade", value)
-        _on_line(path, lineno, as_grade, grades[label])
-    if not grades:
-        raise ValueError(f"{path}: no elements found")
-    return FiniteFuzzySet(tuple(grades), np.array(list(grades.values())))
-
-
-def write_grid_csv(f: GridFunction, path) -> None:
-    """Write an ``x,value`` CSV whose floats round-trip exactly."""
-    _write_rows(path, zip(f.nodes, f.samples), "x,value")
-
-
-def read_grid_csv(path) -> GridFunction:
-    """Read an ``x,value`` CSV whose x column is the grid's own nodes,
-    ``np.linspace(x0, xn, n)``, to within 1e-9 of a step or one ulp of the
-    largest |x|, whichever is coarser (``x0 + k*h`` passes too)."""
-    rows = _rows(path, "x,value")
-    header = next(rows, None)
-    if header is None or header[1:] != ("x", "value"):
-        got = "" if header is None else ",".join(header[1:])
-        raise ValueError(f"{path}: expected header 'x,value', got {got!r}")
-    xs: list[float] = []
-    vs: list[float] = []
-    for lineno, x, v in rows:
-        xs.append(_number(path, lineno, "x", x))
-        vs.append(_number(path, lineno, "value", v))
-    if len(xs) < 2:
-        raise ValueError(f"{path}: need at least 2 rows")
-    x = np.array(xs)
-    # comparisons first and a Python-float span, so no arithmetic overflows
-    if not (np.all(x[1:] > x[:-1]) and math.isfinite(xs[-1] - xs[0])):
-        raise ValueError(
-            f"{path}: x column must be strictly increasing over a finite span"
-        )
-    f = GridFunction(xs[0], xs[-1], np.array(vs))
-    bound = max(1e-9 * f.spacing, float(np.spacing(max(abs(xs[0]), abs(xs[-1])))))
-    if np.max(np.abs(x - f.nodes)) > bound:
-        raise ValueError(f"{path}: x column is not uniformly spaced")
-    return f

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .fuzzy import _on_line, _readable, _rows, _write_rows, as_grade
+from .fuzzy import as_grade
 
 Grade = Fraction | float
 
@@ -142,40 +142,3 @@ def language_from_table(
             raise ValueError(f"word {str(word)!r}: {e}") from None
         frozen[w] = _table_grade(w, value)
     return language
-
-
-EMPTY_WORD_MARK = "ε"  # lowercase epsilon
-
-
-def read_grade_table(path, alphabet: str | None = None) -> FuzzyLanguage:
-    """Read ``word,grade`` lines; the empty word is spelled as an epsilon
-    or left as an empty field.  Without an explicit alphabet the sorted
-    set of symbols appearing in the words is used."""
-    table: dict[str, Fraction] = {}
-    for lineno, word, value in _rows(path, "word,grade"):
-        if word == EMPTY_WORD_MARK:
-            word = ""
-        if word in table:
-            raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
-        table[word] = _on_line(path, lineno, _table_grade, word, value)
-    symbols = (
-        tuple(alphabet)
-        if alphabet is not None
-        else tuple(sorted({c for w in table for c in w}))
-    )
-    if not symbols:
-        raise ValueError(f"{path}: cannot infer an alphabet; none given")
-    return language_from_table(symbols, table)
-
-
-def write_grade_table(language_table: dict[str, float], path) -> None:
-    """Write ``word,grade`` lines; the empty word is written as an epsilon.
-    A word the reader would not read back (a literal epsilon among them) or
-    a grade outside the grade rule is rejected."""
-    rows = []
-    for word, grade in sorted(language_table.items()):
-        if word == EMPTY_WORD_MARK:
-            raise ValueError(f"word {word!r} would not read back: it marks the empty word")
-        _table_grade(word, grade)
-        rows.append((_readable(word) or EMPTY_WORD_MARK, str(grade)))
-    _write_rows(path, rows)

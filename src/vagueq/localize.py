@@ -13,7 +13,7 @@ comparable on the same report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .fuzzy import GridFunction
 from .integrals import grid_tolerance, sugeno_integral
 from .intervals import IntervalSet
 from .measures import MeasureSpec, PossibilityMeasure, measure_of
-from .render import format_value
 
 DEFAULT_GRID_POINTS = 10001
 MIN_GRID_POINTS = 101
@@ -170,11 +169,6 @@ class LocalizationReport:
                 "sup and Sugeno possibilities disagree beyond the grid tolerance: "
                 f"{self.possibility} vs {self.possibility_sugeno}"
             )
-
-    def lines(self) -> list[str]:
-        return [
-            f"{f.name} = {format_value(getattr(self, f.name))}" for f in fields(self)
-        ]
 
 
 def _density_on_window(

@@ -18,25 +18,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import integrals
-from .fuzzy import (
-    FiniteFuzzySet, GridFunction, _number, _on_line, _readable, _rows, _write_rows, height
-)
+from .fuzzy import FiniteFuzzySet, GridFunction, height
 from .intervals import IntervalSet, union_all
 
 MAX_TABLE_UNIVERSE = 12
-
-
-def label_subset(universe: tuple[str, ...], a) -> frozenset:
-    """``a``'s labels as a frozenset, all drawn from ``universe``; None is all of it."""
-    if a is None:
-        return frozenset(universe)
-    if isinstance(a, IntervalSet):
-        raise ValueError("measure domain mismatch: interval sets need a grid measure")
-    subset = frozenset(str(x) for x in a)
-    foreign = subset - frozenset(universe)
-    if foreign:
-        raise ValueError(f"subset contains labels outside the domain: {sorted(foreign)}")
-    return subset
 
 
 def _table_value(subset: frozenset, value) -> float:
@@ -90,27 +75,38 @@ class MeasureSpec:
         return TableMeasure(labels, canon)
 
     def _event(self, a) -> IntervalSet | frozenset:
-        if self.universe is not None:
-            return label_subset(self.universe, a)
-        if not isinstance(a, IntervalSet):
-            raise ValueError("measure domain mismatch: label subsets need a finite measure")
-        return a
+        """``a`` on this domain: an IntervalSet on a grid, else its labels as a
+        frozenset, all drawn from ``universe`` (None is all of it)."""
+        if self.universe is None:
+            if not isinstance(a, IntervalSet):
+                raise ValueError("measure domain mismatch: label subsets need a finite measure")
+            return a
+        if a is None:
+            return frozenset(self.universe)
+        if isinstance(a, IntervalSet):
+            raise ValueError("measure domain mismatch: interval sets need a grid measure")
+        subset = frozenset(str(x) for x in a)
+        foreign = subset - frozenset(self.universe)
+        if foreign:
+            raise ValueError(f"subset contains labels outside the domain: {sorted(foreign)}")
+        return subset
 
     def _sugeno_finite(self, f: FiniteFuzzySet, a) -> float:
         """The finite route, for every finite measure: the sorted-value walk,
-        over the labels ``a`` (None is all of them).  A grid measure refuses."""
-        subset = label_subset(f.universe, a)
-        idx = np.array([k for k, l in enumerate(f.universe) if l in subset], dtype=int)
-        # sorted-value evaluation: with f's values taken downward, the top-sets
-        # grow one label at a time and the integral is the best
-        # min(value, mu(top-set)); a stable sort keeps ties in universe order
-        order = idx[np.argsort(-f.grades[idx], kind="stable")]
+        over the labels ``a`` (None is all of them).  A grid measure refuses
+        whatever ``a`` is."""
         if self.universe is None:
             raise ValueError(
                 "finite Sugeno integration needs a finite (possibilistic or table) measure"
             )
         if set(self.universe) != set(f.universe):
             raise ValueError("domain mismatch: f and the measure use different universes")
+        subset = self._event(a)
+        idx = np.array([k for k, l in enumerate(f.universe) if l in subset], dtype=int)
+        # sorted-value evaluation: with f's values taken downward, the top-sets
+        # grow one label at a time and the integral is the best
+        # min(value, mu(top-set)); a stable sort keeps ties in universe order
+        order = idx[np.argsort(-f.grades[idx], kind="stable")]
         labels = [f.universe[k] for k in order]
         # each prefix is measured on its own, O(n^3) in all for a possibility
         # measure since grade_of scans the universe; the running max
@@ -426,46 +422,3 @@ def check_additivity(
     whole = measure_of(m, union_all(parts))
     total = math.fsum(measure_of(m, p) for p in parts)
     return abs(whole - total) <= tol
-
-
-# --- table text format -----------------------------------------------------
-
-def _table_label(label: str) -> str:
-    """``label`` if a table line reads it back: ``_readable``, and neither
-    empty, ``{}`` nor holding a ``|``."""
-    if not label or label == "{}" or "|" in label:
-        raise ValueError(f"table label {label!r} would not read back")
-    return _readable(label)
-
-
-def write_table_measure(m: MeasureSpec, path) -> None:
-    """Write ``e1|e2|...,value`` lines, one subset per line; {} is empty.  A
-    label the reader would not read back is rejected."""
-    if not isinstance(m, TableMeasure):
-        raise ValueError("only table measures have a table text form")
-    order = {_table_label(label): i for i, label in enumerate(m.universe)}
-    subsets = sorted(m.table, key=lambda s: (len(s), sorted(order[x] for x in s)))
-    _write_rows(path, [
-        ("|".join(sorted(s, key=order.__getitem__)) or "{}", _table_value(s, m.table[s]))
-        for s in subsets
-    ])
-
-
-def read_table_measure(path) -> MeasureSpec:
-    """Read ``e1|e2|...,value`` lines; the universe is the union of all
-    labels mentioned (so the full-universe line must be present)."""
-    table: dict[frozenset, float] = {}
-    for lineno, key, value in _rows(path, "subset,value"):
-        subset = (
-            frozenset()
-            if key == "{}"
-            else frozenset(part.strip() for part in key.split("|"))
-        )
-        if subset and any(not x for x in subset):
-            raise ValueError(f"{path}:{lineno}: empty label in subset")
-        if subset in table:
-            raise ValueError(f"{path}:{lineno}: duplicate subset {key!r}")
-        table[subset] = _number(path, lineno, "value", value)
-        _on_line(path, lineno, _table_value, subset, table[subset])
-    labels = frozenset().union(*table)
-    return MeasureSpec.from_table(tuple(sorted(labels)), table)

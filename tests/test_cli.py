@@ -80,6 +80,30 @@ def test_localize_documented_example(capsys):
     assert values["a"] == "-1.000000000"
 
 
+def test_localize_report_lines_format(capsys):
+    code, out, err = run_cli(
+        capsys, "localize", "--wavefunction", "gaussian:mu=0,sigma=1", "--interval", "-1,1"
+    )
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "a = -1.000000000"
+    assert lines[1] == "b = 1.000000000"
+    assert lines[2] == "time = 0.000000000"
+    assert any(line.startswith("probability = 0.68268") for line in lines)
+    assert "possibility = 1.000000000" in lines
+    keys = [line.split(" = ")[0] for line in lines]
+    assert keys == [
+        "a",
+        "b",
+        "time",
+        "probability",
+        "possibility",
+        "possibility_sugeno",
+        "density_norm",
+        "grid_tolerance",
+    ]
+
+
 def test_qubit_documented_example(capsys):
     code, out, err = run_cli(
         capsys, "qubit", "--init", "0", "--gate", "H", "--report", "memberships"
@@ -734,6 +758,7 @@ def test_bad_input_lines_exit_1_naming_path_and_line(capsys, tmp_path):
         "table.txt": "{},0\na,0.5\nb,0.5\nb|a,1\na|b,1\n",
         "range.txt": "x1,0.5\nx2,1.5\n",
         "negative.txt": "{},0\na,-0.5\nb,0.5\na|b,1\n",
+        "words.txt": "ab,0.5\nzz,0.1\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -750,6 +775,9 @@ def test_bad_input_lines_exit_1_naming_path_and_line(capsys, tmp_path):
          "range.txt:2: grade 1.5 lies outside [0, 1]"),
         (("measure", "eval", "--measure", f"table:path={tmp_path / 'negative.txt'}",
           "--subset", "a"), "negative.txt:2: table value for ['a'] must be >= 0"),
+        (("lang", "grade", "--word", "ab", "--language",
+          f"table:path={tmp_path / 'words.txt'},alphabet=ab"),
+         "words.txt:2: word 'zz': symbol 'z' at position 0 is not in the alphabet 'ab'"),
     )
     for argv, message in runs:
         code, out, err = run_cli(capsys, *argv)

@@ -274,6 +274,16 @@ def test_domain_mismatches_are_errors():
         sugeno_integral(f, ["zz"], m)
     with pytest.raises(ValueError, match="finite"):
         sugeno_integral(f, None, MeasureSpec.additive(triangle()))
+    # the measure's domain is checked before the event, so the error never
+    # depends on the event
+    for event in (None, ("x1",), ("zz",), IntervalSet.interval(0.0, 1.0)):
+        with pytest.raises(ValueError, match="needs a finite"):
+            sugeno_integral(f, event, MeasureSpec.additive(triangle()))
+    abc = ("a", "b", "c")
+    table = MeasureSpec.from_table(
+        abc, {s: len(s) / 3 for k in range(4) for s in combinations(abc, k)})
+    with pytest.raises(ValueError, match="different universes"):
+        sugeno_integral(FiniteFuzzySet(("a", "b"), [0.5, 1.0]), ("c",), table)
     with pytest.raises(ValueError, match="grid measure"):
         sugeno_integral(triangle(), IntervalSet.interval(0.0, 1.0), m)
     with pytest.raises(ValueError, match="grid measure"):

@@ -197,6 +197,15 @@ def test_grade_table_file_errors(tmp_path):
     path.write_text("ε,0.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="alphabet"):
         read_grade_table(path)
+    # a word outside a given alphabet is refused on its line; the alphabet's
+    # own rules come first, without a line
+    path.write_text("ab,0.5\nzz,0.1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=(
+        r"^.*lang\.txt:2: word 'zz': symbol 'z' at position 0 is not in the alphabet 'ab'$"
+    )):
+        read_grade_table(path, alphabet="ab")
+    with pytest.raises(ValueError, match="^alphabet symbols must be unique$"):
+        read_grade_table(path, alphabet="aab")
 
 
 def test_grade_table_zero_denominator_names_the_line(tmp_path):
@@ -223,3 +232,4 @@ def test_grade_table_out_of_range_grade_names_the_line(tmp_path):
     path.write_text("ab,-1/3\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"lang\.txt:1: grade -1/3 for word 'ab'"):
         read_grade_table(path)
+

@@ -223,27 +223,6 @@ def test_report_validation_guards():
         LocalizationReport(**{**ok, "possibility_sugeno": 0.9})
 
 
-def test_report_lines_format():
-    report = localize(WavefunctionSpec.gaussian(0.0, 1.0), -1.0, 1.0)
-    lines = report.lines()
-    assert lines[0] == "a = -1.000000000"
-    assert lines[1] == "b = 1.000000000"
-    assert lines[2] == "time = 0.000000000"
-    assert any(line.startswith("probability = 0.68268") for line in lines)
-    assert "possibility = 1.000000000" in lines
-    keys = [line.split(" = ")[0] for line in lines]
-    assert keys == [
-        "a",
-        "b",
-        "time",
-        "probability",
-        "possibility",
-        "possibility_sugeno",
-        "density_norm",
-        "grid_tolerance",
-    ]
-
-
 # --- sweeps -------------------------------------------------------------------------
 
 def test_sweep_rows_are_cumulative_and_monotone():
