@@ -191,16 +191,11 @@ def resolve_seed(value: int | None) -> int:
 
 
 def _event_from_args(args) -> IntervalSet | frozenset:
-    given_interval = getattr(args, "interval", None)
-    given_subset = getattr(args, "subset", None)
-    if (given_interval is None) == (given_subset is None):
+    if (args.interval is None) == (args.subset is None):
         raise ValueError("give exactly one of --interval or --subset")
-    if given_interval is not None:
-        lo, hi = parse_interval(given_interval)
-        return IntervalSet.interval(lo, hi)
-    return frozenset(
-        part.strip() for part in given_subset.split("|") if part.strip()
-    )
+    if args.interval is not None:
+        return IntervalSet.interval(*parse_interval(args.interval))
+    return frozenset(part.strip() for part in args.subset.split("|") if part.strip())
 
 
 # --- handlers ---------------------------------------------------------------
@@ -247,14 +242,15 @@ def _cmd_measure_check(args) -> int:
     return 0
 
 
-def _cmd_integrate(args) -> int:
-    if args.method == "lebesgue":
-        f = read_grid_csv(args.density)
-        lo, hi = parse_interval(args.interval)
-        emit("integral", f.integral_over(IntervalSet.interval(lo, hi)))
-        if args.csv:
-            write_grid_csv(f, args.csv)
-        return 0
+def _cmd_lebesgue(args) -> int:
+    f = read_grid_csv(args.density)
+    emit("integral", f.integral_over(IntervalSet.interval(*parse_interval(args.interval))))
+    if args.csv:
+        write_grid_csv(f, args.csv)
+    return 0
+
+
+def _cmd_sugeno(args) -> int:
     f = load_function(args.function)
     m = load_measure(args.measure)
     event = _event_from_args(args)
@@ -430,14 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(handler=_cmd_measure_check)
 
     p_int = sub.add_parser("integrate", help="Lebesgue or Sugeno integral")
-    p_int.add_argument("method", choices=("lebesgue", "sugeno"))
-    p_int.add_argument("--density", help="x,value CSV (lebesgue)")
-    p_int.add_argument("--function", help="grid:F.csv or finite:F (sugeno)")
-    p_int.add_argument("--measure", help="measure spec (sugeno)")
-    p_int.add_argument("--interval", help="half-open interval a,b")
-    p_int.add_argument("--subset", help="finite event, labels joined by |")
-    p_int.add_argument("--csv", help="dump the integrand as x,value CSV")
-    p_int.set_defaults(handler=_cmd_integrate)
+    isub = p_int.add_subparsers(dest="integrate_command", required=True)
+    p_leb = isub.add_parser("lebesgue", help="integral of a density over an interval")
+    p_leb.add_argument("--density", required=True, help="x,value CSV")
+    p_leb.add_argument("--interval", required=True, help="half-open interval a,b")
+    p_leb.add_argument("--csv", help="dump the density as x,value CSV")
+    p_leb.set_defaults(handler=_cmd_lebesgue)
+    p_sug = isub.add_parser("sugeno", help="Sugeno integral against a measure")
+    p_sug.add_argument("--function", required=True, help="grid:F.csv or finite:F")
+    p_sug.add_argument("--measure", required=True, help="measure spec, as for measure eval")
+    p_sug.add_argument("--interval", help="half-open interval a,b")
+    p_sug.add_argument("--subset", help="finite event, labels joined by |")
+    p_sug.add_argument("--csv", help="dump the grid function as x,value CSV")
+    p_sug.set_defaults(handler=_cmd_sugeno)
 
     p_loc = sub.add_parser(
         "localize", help="probability vs possibility of finding the particle"

@@ -160,7 +160,7 @@ def write_table_measure(m: MeasureSpec, path) -> None:
     order = {_table_label(label): i for i, label in enumerate(m.universe)}
     subsets = sorted(m.table, key=lambda s: (len(s), sorted(order[x] for x in s)))
     _write_rows(path, [
-        ("|".join(sorted(s, key=order.__getitem__)) or "{}", _table_value(s, m.table[s]))
+        ("|".join(sorted(s, key=order.__getitem__)) or "{}", m.table[s])
         for s in subsets
     ])
 
@@ -187,12 +187,12 @@ def read_grade_table(path, alphabet: str | None = None) -> FuzzyLanguage:
     or left as an empty field.  Without an explicit alphabet the sorted
     set of symbols appearing in the words is used; a given one is checked
     before the file is read, and a word outside it is refused on its line."""
-    if alphabet:  # the alphabet's own rules, before any line
+    if alphabet is not None:  # the alphabet's own rules, before any line
         language_from_table(alphabet, {})
 
     def word_of(text: str) -> str:
         word = "" if text == EMPTY_WORD_MARK else text
-        if alphabet:  # the word rule of language_from_table, on the word's line
+        if alphabet is not None:  # the word rule of language_from_table, on the word's line
             language_from_table(alphabet, {word: 0})
         return word
 

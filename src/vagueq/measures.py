@@ -61,18 +61,7 @@ class MeasureSpec:
     def from_table(
         cls, universe: Iterable[str], table: Mapping[Iterable[str], float]
     ) -> "TableMeasure":
-        labels = tuple(str(x) for x in universe)
-        label_set = frozenset(labels)
-        canon: dict[frozenset, float] = {}
-        for key, value in table.items():
-            subset = frozenset(str(x) for x in key)
-            if not subset <= label_set:
-                extra = sorted(subset - label_set)
-                raise ValueError(f"table subset contains foreign labels {extra}")
-            if subset in canon:
-                raise ValueError(f"duplicate table entry for {sorted(subset)}")
-            canon[subset] = _table_value(subset, value)
-        return TableMeasure(labels, canon)
+        return TableMeasure(universe, table)
 
     def _event(self, a) -> IntervalSet | frozenset:
         """``a`` on this domain: an IntervalSet on a grid, else its labels as a
@@ -136,6 +125,8 @@ class AdditiveMeasure(MeasureSpec):
     universe = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.density, GridFunction):
+            raise ValueError("density must be a GridFunction")
         object.__setattr__(
             self, "norm", self.density.integral_over(self.density.full_span())
         )
@@ -288,7 +279,7 @@ class PossibilityMeasure(MeasureSpec):
         pi = self.distribution
         ends = np.ravel(a.intervals)
         p_ends, f_ends = pi._read(ends)[2], f._read(ends)[2]
-        shared = (f.x_min, f.x_max, f.n) == (pi.x_min, pi.x_max, pi.n)
+        shared = f.nodes is pi.nodes
         best = 0.0
         for (lo, hi), f_lo, f_hi, p_lo, p_hi in zip(
             a.intervals, f_ends[::2], f_ends[1::2], p_ends[::2], p_ends[1::2]
@@ -337,16 +328,26 @@ def _sup_min(fv: np.ndarray, pv: np.ndarray) -> float:
 class TableMeasure(MeasureSpec):
     """mu given subset by subset over a small finite universe.
 
-    The table must be total over ``universe`` (at most 12 labels), with
-    mu(empty) = 0, mu(universe) = 1 and monotonicity under inclusion;
-    all three are checked exhaustively on construction.
+    Keys become frozensets of ``str`` labels of ``universe``, values floats
+    at least 0.  The table must be total (at most 12 labels), with
+    mu(empty) = 0, mu(universe) = 1 and monotonicity, all checked exhaustively.
     """
 
     universe: tuple[str, ...]
     table: Mapping[frozenset, float]
 
     def __post_init__(self) -> None:
-        labels, canon = self.universe, self.table
+        labels = tuple(str(x) for x in self.universe)
+        known, canon = frozenset(labels), {}
+        for key, value in self.table.items():
+            subset = frozenset(str(x) for x in key)
+            if not subset <= known:
+                raise ValueError(f"table subset contains foreign labels {sorted(subset - known)}")
+            if subset in canon:
+                raise ValueError(f"duplicate table entry for {sorted(subset)}")
+            canon[subset] = _table_value(subset, value)
+        object.__setattr__(self, "universe", labels)
+        object.__setattr__(self, "table", canon)
         if not labels:
             raise ValueError("table universe must be non-empty")
         if len(set(labels)) != len(labels):

@@ -701,13 +701,26 @@ def test_entangle_flag_conflicts(capsys):
 
 # --- exit codes and determinism ------------------------------------------------------
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["fuzzy", "union"])  # missing required --a
-    assert exc.value.code == 2
+def test_usage_errors_exit_2(capsys):
+    f, m = "finite:f.txt", "table:path=t.txt"
+    lebesgue = ("integrate", "lebesgue", "--density", "d.csv", "--interval", "-1,1")
+    sugeno = ("integrate", "sugeno", "--function", f, "--measure", m, "--subset", "x1")
+    for argv in (
+        ("no-such-command",),
+        ("fuzzy", "union"),  # missing required --a
+        # an integrate method requires its own flags and takes no other,
+        # and its flags follow the method word
+        lebesgue[:4], lebesgue[:2] + lebesgue[4:], sugeno[:4] + sugeno[6:], sugeno[:2] + sugeno[4:],
+        lebesgue + ("--function", f), lebesgue + ("--measure", m), lebesgue + ("--subset", "x1"),
+        sugeno + ("--density", "d.csv"),
+        ("integrate", "--density", "d.csv", "lebesgue", "--interval", "-1,1"),
+        ("integrate", "--function", f, "sugeno", "--measure", m, "--subset", "x1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
 def test_domain_errors_exit_1(capsys):
@@ -778,6 +791,9 @@ def test_bad_input_lines_exit_1_naming_path_and_line(capsys, tmp_path):
         (("lang", "grade", "--word", "ab", "--language",
           f"table:path={tmp_path / 'words.txt'},alphabet=ab"),
          "words.txt:2: word 'zz': symbol 'z' at position 0 is not in the alphabet 'ab'"),
+        # an empty alphabet is refused by the alphabet's own rule, before any line
+        (("lang", "grade", "--word", "01", "--language",
+          f"table:path={tmp_path / 'words.txt'},alphabet="), "error: alphabet must be non-empty"),
     )
     for argv, message in runs:
         code, out, err = run_cli(capsys, *argv)

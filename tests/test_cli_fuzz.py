@@ -190,6 +190,11 @@ def argv_strategy(inputs, outputs):
             ["integrate", "sugeno"], {"--function": function, "--measure": measure},
             {"--interval": pair, "--subset": subset, "--csv": out},
         ),
+        *(command(
+            ["integrate", method], {},
+            {"--density": path("density.csv"), "--function": function, "--measure": measure,
+             "--interval": pair, "--subset": subset, "--csv": out},
+        ) for method in ("lebesgue", "sugeno")),
         command(
             ["integrate", "sugeno"],
             {"--function": grid_function, "--measure": grid_measure, "--interval": pair},
@@ -220,8 +225,9 @@ def argv_strategy(inputs, outputs):
         command(["lang", "grade"], {"--word": word}, {"--language": language}),
     )
     tokens = st.lists(
-        st.sampled_from(("localize", "qubit", "lang", "grade", "--grid", "--interval",
-                         "-1,1", "--", "--bogus", "-h", "H") + NUMBERS),
+        st.sampled_from(("localize", "qubit", "lang", "grade", "integrate", "lebesgue",
+                         "sugeno", "--grid", "--interval", "-1,1", "--", "--bogus", "-h",
+                         "H") + NUMBERS),
         max_size=6,
     )
     return st.one_of(*commands, tokens)

@@ -206,6 +206,8 @@ def test_grade_table_file_errors(tmp_path):
         read_grade_table(path, alphabet="ab")
     with pytest.raises(ValueError, match="^alphabet symbols must be unique$"):
         read_grade_table(path, alphabet="aab")
+    with pytest.raises(ValueError, match="^alphabet must be non-empty$"):
+        read_grade_table(path, alphabet="")
 
 
 def test_grade_table_zero_denominator_names_the_line(tmp_path):

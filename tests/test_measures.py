@@ -11,6 +11,7 @@ from vagueq import (
     GridFunction,
     IntervalSet,
     MeasureSpec,
+    TableMeasure,
     check_additivity,
     check_possibility_union_axiom,
     measure_of,
@@ -44,6 +45,8 @@ def test_additive_records_norm_and_flag():
     un = MeasureSpec.additive(GridFunction(0.0, 1.0, [2.0, 2.0]))
     assert not un.is_normalized
     assert un.norm == pytest.approx(2.0)
+    with pytest.raises(ValueError, match="^density must be a GridFunction$"):
+        MeasureSpec.additive(finite_pi())
 
 
 def test_possibilistic_requires_sup_one():
@@ -64,6 +67,16 @@ def _table_2():
         ("b",): 0.8,
         ("a", "b"): 1.0,
     }
+
+
+def same_refusal(universe, table):
+    """A direct ``TableMeasure`` refuses ``table`` as ``from_table`` does."""
+    texts = []
+    for build in (MeasureSpec.from_table, TableMeasure):
+        with pytest.raises(ValueError) as e:
+            build(universe, table)
+        texts.append(str(e.value))
+    assert texts[0] == texts[1], texts
 
 
 def test_table_measure_accepts_monotone_total_table():
@@ -88,36 +101,48 @@ def test_table_measure_rejects_non_monotone():
     }
     with pytest.raises(ValueError, match="monotone"):
         MeasureSpec.from_table(("a", "b", "c"), bad)
+    same_refusal(("a", "b", "c"), bad)
 
 
 def test_table_measure_rejects_partial_tables():
     partial = {k: v for k, v in _table_2().items() if k != ("a",)}
     with pytest.raises(ValueError, match="total"):
         MeasureSpec.from_table(("a", "b"), partial)
+    same_refusal(("a", "b"), partial)
 
 
 def test_table_measure_rejects_bad_boundary_values():
     t = _table_2() | {(): 0.1}
     with pytest.raises(ValueError, match="empty"):
         MeasureSpec.from_table(("a", "b"), t)
+    same_refusal(("a", "b"), t)
     t = _table_2() | {("a", "b"): 0.9}
     with pytest.raises(ValueError, match="universe"):
         MeasureSpec.from_table(("a", "b"), t)
+    same_refusal(("a", "b"), t)
+    t = _table_2() | {("a",): math.nan}
+    with pytest.raises(ValueError, match=r"^table value for \['a'\] must be >= 0$"):
+        MeasureSpec.from_table(("a", "b"), t)
+    same_refusal(("a", "b"), t)
 
 
 def test_table_measure_rejects_foreign_duplicate_and_repeated_labels():
     with pytest.raises(ValueError, match=r"foreign labels \['c'\]"):
         MeasureSpec.from_table(("a", "b"), _table_2() | {("a", "c"): 1.0})
+    same_refusal(("a", "b"), _table_2() | {("a", "c"): 1.0})
     with pytest.raises(ValueError, match=r"duplicate table entry for \['a', 'b'\]"):
         MeasureSpec.from_table(("a", "b"), _table_2() | {("b", "a"): 1.0})
+    same_refusal(("a", "b"), _table_2() | {("b", "a"): 1.0})
     with pytest.raises(ValueError, match="unique"):
         MeasureSpec.from_table(("a", "a"), {(): 0.0, ("a",): 1.0})
+    same_refusal(("a", "a"), {(): 0.0, ("a",): 1.0})
 
 
 def test_table_measure_rejects_large_universes():
     labels = tuple(f"e{i}" for i in range(13))
     with pytest.raises(ValueError, match="at most 12"):
         MeasureSpec.from_table(labels, {})
+    same_refusal(labels, {})
 
 
 # --- evaluation ----------------------------------------------------------------
