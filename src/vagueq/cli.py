@@ -29,7 +29,8 @@ from .integrals import grid_tolerance, sugeno_integral
 from .intervals import IntervalSet
 from .language import zeros_then_ones_language
 from .localize import (
-    DEFAULT_GRID_POINTS, WavefunctionSpec, localize, localization_sweep, realize_density
+    DEFAULT_GRID_POINTS, DEFAULT_SWEEP_STEPS, WavefunctionSpec, localize, localization_sweep,
+    realize_density,
 )
 from .measures import (
     AdditiveMeasure, MeasureSpec, check_additivity, check_possibility_union_axiom, measure_of
@@ -265,12 +266,15 @@ def _cmd_sugeno(args) -> int:
 
 
 def _cmd_localize(args) -> int:
+    if args.sweep_steps is not None and not args.csv:
+        raise ValueError("--sweep-steps applies only with --csv")
     w = load_wavefunction(args.wavefunction, args)
     a, b = parse_interval(args.interval)
     density = realize_density(w)  # once: the report, sweep and dump share it
     w = WavefunctionSpec.from_samples(density)
     report = localize(w, a, b, time=args.time)
-    rows = localization_sweep(w, a, b, steps=args.sweep_steps) if args.csv else None
+    steps = DEFAULT_SWEEP_STEPS if args.sweep_steps is None else args.sweep_steps
+    rows = localization_sweep(w, a, b, steps=steps) if args.csv else None
     for field in dataclasses.fields(report):
         emit(field.name, getattr(report, field.name))
     if args.dump_density:
@@ -455,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_loc.add_argument(
         "--csv", help="write a right-endpoint sweep: a,b,probability,possibility"
     )
-    p_loc.add_argument("--sweep-steps", type=int, default=200)
+    p_loc.add_argument(
+        "--sweep-steps", type=int, help=f"sweep windows (with --csv; default {DEFAULT_SWEEP_STEPS})"
+    )
     p_loc.add_argument(
         "--dump-density", help="write the realized density as x,value CSV"
     )

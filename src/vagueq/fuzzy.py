@@ -7,6 +7,7 @@ universes are uniform 1-D grids read piecewise-linearly between nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -167,7 +168,10 @@ class GridFunction:
     Between nodes the function is read by linear interpolation, and all
     geometric queries (integrals, suprema, level sets) use that same
     piecewise-linear reading, so different code paths agree about what
-    the function *is*.
+    the function *is*.  The compensated prefix sums behind every integral
+    are built on the first integral read, so a function read only through
+    suprema never pays for them; construction still refuses a grid whose
+    integral overflows.
     """
 
     x_min: float
@@ -186,32 +190,50 @@ class GridFunction:
         if raw.min() < -GRADE_SLACK:
             raise ValueError(f"samples must be non-negative, min is {raw.min()}")
         # a reading adds two samples (the trapezoid's y_k + y(x)): no overflow
-        if not math.isfinite(2.0 * float(raw.max())):
-            raise ValueError(f"samples exceed half the largest float: {raw.max()}")
+        top = float(raw.max())
+        if not math.isfinite(2.0 * top):
+            raise ValueError(f"samples exceed half the largest float: {top}")
         vals = np.maximum(raw, 0.0)
         object.__setattr__(self, "x_min", lo)
         object.__setattr__(self, "x_max", hi)
         object.__setattr__(self, "samples", vals)
         self.samples.setflags(write=False)
-        nodes = _grid_nodes(lo, hi, vals.size)
-        h = (hi - lo) / (vals.size - 1)
-        # cumulative trapezoid at nodes; shared by every integral query so
-        # that integrals over abutting intervals telescope.  Compensated
-        # (Neumaier) summation: a plain cumsum drifts by ~n ulps and
-        # visibly misses round totals, so each step's rounding error,
-        # exact by Knuth's TwoSum, is summed alongside and added back
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            cells = h * 0.5 * (vals[:-1] + vals[1:])
-            prefix = np.concatenate(([0.0], cells)).cumsum()
-            back = prefix[1:] - prefix[:-1]
-            err = (prefix[:-1] - (prefix[1:] - back)) + (cells - back)
-            prefix[1:] += np.cumsum(err)
-        if not math.isfinite(prefix[-1]):
+        object.__setattr__(self, "nodes", _grid_nodes(lo, hi, vals.size))
+        object.__setattr__(self, "spacing", (hi - lo) / (vals.size - 1))
+        # the integral is at most (hi - lo) * top, up to round-off; only a
+        # grid that may come near the largest float builds its prefix now,
+        # to refuse an overflow at construction
+        if (hi - lo) * top >= 2.0**1000 and not math.isfinite(self._prefix[-1]):
             raise ValueError("the integral of the samples overflows")
+
+    @functools.cached_property
+    def _prefix(self) -> np.ndarray:
+        """The cumulative trapezoid at the nodes, built on the first integral
+        read; shared by every integral query so that integrals over abutting
+        intervals telescope.
+
+        Compensated (Neumaier) summation: a plain cumsum drifts by ~n ulps
+        and visibly misses round totals, so each step's rounding error,
+        exact by Knuth's TwoSum, is summed alongside and added back.  The
+        pass writes into three arrays; the leading 0.0 is summed like any
+        cell, so a -0.0 cell comes out as the sequential loop's +0.0.
+        """
+        vals = self.samples
+        cells = np.add(vals[:-1], vals[1:])
+        prefix = np.empty(vals.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked at construction
+            cells *= self.spacing * 0.5
+            prefix[0] = 0.0
+            prefix[1:] = cells
+            np.cumsum(prefix, out=prefix)
+            back = np.subtract(prefix[1:], prefix[:-1])
+            cells -= back  # the cell's part lost in back
+            np.subtract(prefix[1:], back, out=back)
+            np.subtract(prefix[:-1], back, out=back)  # the sum's part lost
+            back += cells
+            prefix[1:] += np.cumsum(back, out=back)
         prefix.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "spacing", h)
-        object.__setattr__(self, "_prefix", prefix)
+        return prefix
 
     @property
     def n(self) -> int:

@@ -26,6 +26,7 @@ DEFAULT_GRID_POINTS = 10001
 MIN_GRID_POINTS = 101
 MAX_GRID_POINTS = 10_000_001
 MAX_BOX_LEVEL = 50
+DEFAULT_SWEEP_STEPS = 200
 MAX_SWEEP_STEPS = 100_000
 
 
@@ -212,7 +213,7 @@ def localize(
 
 
 def localization_sweep(
-    w: WavefunctionSpec, a: float, b: float, steps: int = 200
+    w: WavefunctionSpec, a: float, b: float, steps: int = DEFAULT_SWEEP_STEPS
 ) -> list[tuple[float, float, float, float]]:
     """Rows (a, x, probability, possibility) for x sweeping from a to b.
 

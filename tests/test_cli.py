@@ -492,6 +492,16 @@ def test_localize_sweep_steps_finer_than_the_floats_exit_1(capsys, tmp_path):
     assert not sweep_path.exists()
 
 
+def test_localize_sweep_steps_without_csv_exit_1(capsys):
+    for steps in ("200", "0"):
+        code, out, err = run_cli(
+            capsys, "localize", "--wavefunction", "gaussian:mu=0,sigma=1",
+            "--interval", "-1,1", "--sweep-steps", steps,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --sweep-steps applies only with --csv\n"
+
+
 def test_localize_realizes_the_density_once(capsys, tmp_path, monkeypatch):
     calls = []
     original = GaussianWavefunction._density

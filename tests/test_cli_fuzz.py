@@ -2,9 +2,10 @@
 
 Whatever the arguments, ``vagueq`` must exit with 0, 1 or 2, raise
 nothing, emit no warning, and write nothing to stderr on success and
-exactly one ``error:`` line otherwise.  Counts above the caps appear only
-as values to be rejected; no accepted draw allocates more than a few
-hundred grid points.
+exactly one ``error:`` line otherwise.  A call that succeeds used every
+flag it was given (``--sweep-steps`` only with ``--csv``).  Counts above
+the caps appear only as values to be rejected; no accepted draw
+allocates more than a few hundred grid points.
 """
 
 from __future__ import annotations
@@ -212,6 +213,12 @@ def argv_strategy(inputs, outputs):
              "--dump-density": out},
         ),
         command(
+            ["localize"],
+            {"--wavefunction": wavefunction, "--interval": pair,
+             "--sweep-steps": either(("7",), st.sampled_from(STEPS))},
+            {"--grid": either(("101",), st.sampled_from(GRIDS)), "--csv": out},
+        ),
+        command(
             ["qubit"], {},
             {"--init": state, "--fuzzy": pair, "--gate": gate,
              "--report": st.sampled_from(("state", "memberships", "defuzz", "sample")),
@@ -265,6 +272,8 @@ def test_every_argv_keeps_the_cli_contract(strategy, data):
     assert not caught, (argv, [str(w.message) for w in caught])
     if code == 0:
         assert err == "", (argv, err)
+        # a successful call read every flag it was given; a sweep reads --sweep-steps
+        assert "--sweep-steps" not in argv or "--csv" in argv, argv
     else:
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
         assert err.endswith("\n")

@@ -261,14 +261,55 @@ def test_prefix_is_bit_identical_to_the_sequential_neumaier_loop():
         lambda n: rng.random(n) * 1e-300,
         lambda n: np.exp(rng.normal(size=n) * 20.0),
         lambda n: rng.random(n) - 5e-13,  # slack below zero, clamped
+        # plateaus at zero, where a cumsum that skipped the leading 0.0 would
+        # keep a -0.0 that the sequential loop turns into +0.0
+        lambda n: np.where(np.arange(n) % 7 < 4, -0.0, rng.random(n)),
+        lambda n: np.where(np.arange(n) % 5 < 2, 0.0, rng.random(n)),
+        lambda n: np.concatenate((np.full(n // 2, -0.0), rng.random(n - n // 2))),
+        lambda n: np.concatenate((rng.random(n // 2), np.full(n - n // 2, -0.0))),
     )
     cases = [(shape(n), n) for shape in shapes for n in (2, 3, 101, 5000)]
+    cases += [(np.array(pair), 2) for pair in
+              ([-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [0.0, 0.0], [-0.0, 1.0], [1.0, -0.0])]
     cases.append((rng.random(300_000), 300_000))
     for samples, n in cases:
         lo = float(rng.normal() * 10.0 ** rng.uniform(-3, 3))
         hi = lo + float(10.0 ** rng.uniform(-3, 3))
-        got = GridFunction(lo, hi, samples)._prefix
+        f = GridFunction(lo, hi, samples)
+        # built on the first read, unless the integral may come near overflow
+        eager = (hi - lo) * float(np.max(samples)) >= 2.0**1000
+        assert ("_prefix" in vars(f)) == eager, n
+        got = f._prefix
         assert got.tobytes() == neumaier_prefix_oracle(lo, hi, samples).tobytes(), n
+        assert got.flags.writeable is False and f._prefix is got
+
+
+@given(
+    span_exp=st.integers(-20, 1023),
+    total_exp=st.integers(990, 1040),
+    span_mant=st.floats(1.0, 2.0, exclude_max=True),
+    top_mant=st.floats(1.0, 2.0, exclude_max=True),
+    shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    centered=st.booleans(),
+)
+def test_overflow_refusal_matches_the_sequential_prefix(
+    span_exp, total_exp, span_mant, top_mant, shares, centered
+):
+    # span * max straddles the 2**1000 bound below which the prefix is built
+    # lazily, up to the largest float; samples at most half the largest float
+    top_exp = min(total_exp - span_exp, 1022)
+    span = math.ldexp(span_mant, span_exp)
+    top = math.ldexp(top_mant, top_exp)
+    lo = -span / 2.0 if centered else 0.0
+    hi = lo + span
+    samples = np.array(shares + [1.0]) * top
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = neumaier_prefix_oracle(lo, hi, samples)
+    if math.isfinite(want[-1]):
+        assert GridFunction(lo, hi, samples)._prefix.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match="^the integral of the samples overflows$"):
+            GridFunction(lo, hi, samples)
 
 
 def test_grid_rejects_an_overflowing_integral_and_span():

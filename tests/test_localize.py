@@ -10,11 +10,14 @@ from vagueq import (
     GridFunction,
     IntervalSet,
     LocalizationReport,
+    MeasureSpec,
     WavefunctionSpec,
     localization_sweep,
     localize,
     realize_density,
+    sugeno_integral,
 )
+from vagueq.integrals import grid_tolerance
 from vagueq.localize import MAX_GRID_POINTS, MAX_SWEEP_STEPS, _density_on_window
 from vagueq.measures import measure_of
 
@@ -319,3 +322,27 @@ def test_sweep_makes_no_per_window_query(monkeypatch):
     calls.clear()
     localization_sweep(w, -1.0, 1.0, steps=500)
     assert dict(calls) == few
+
+
+def test_possibility_reads_build_no_prefix():
+    density = realize_density(WavefunctionSpec.gaussian(0.0, 1.0, grid_points=1001))
+    pi = density.scaled_by_max()
+    window = IntervalSet.interval(-1.0, 1.0)
+    poss = MeasureSpec.possibilistic(pi)
+    measure_of(poss, window)
+    sugeno_integral(pi, window, poss)
+    grid_tolerance(pi)
+    assert "_prefix" not in vars(pi) and "_prefix" not in vars(density)
+    density.integral_over(window)
+    assert "_prefix" in vars(density)
+
+
+def test_localize_and_its_sweep_run_one_prefix_pass(monkeypatch):
+    passes = []
+    prefix = GridFunction.__dict__["_prefix"]
+    monkeypatch.setattr(prefix, "func", lambda f, build=prefix.func: passes.append(f) or build(f))
+    density = realize_density(WavefunctionSpec.gaussian(0.0, 1.0, grid_points=1001))
+    w = WavefunctionSpec.from_samples(density)
+    localize(w, -1.0, 1.0)
+    localization_sweep(w, -1.0, 1.0, steps=7)
+    assert len(passes) == 1 and passes[0] is density
