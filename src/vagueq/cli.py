@@ -54,6 +54,11 @@ from .qubits import (
 )
 
 SEED_ENV_VAR = "VAGUEQ_SEED"
+# the defaults of flags whose handler applies them, so that a flag given on
+# argv is one that is not None
+DEFAULT_TNORM = TNormKind.MINIMUM.value
+DEFAULT_METHOD = "argmax"
+DEFAULT_DRAWS = 1
 
 # flags whose values may start with a minus sign; merged to --flag=value
 # before parsing so argparse does not mistake them for options
@@ -191,6 +196,14 @@ def resolve_seed(value: int | None) -> int:
     return 0
 
 
+def _applies_only(args, where: str, *flags: str) -> None:
+    """Refuse each of ``flags`` given on argv (not None in ``args``) on a path
+    that does not read it, naming the flag and ``where`` it applies."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag} applies only {where}")
+
+
 def _event_from_args(args) -> IntervalSet | frozenset:
     if (args.interval is None) == (args.subset is None):
         raise ValueError("give exactly one of --interval or --subset")
@@ -202,8 +215,9 @@ def _event_from_args(args) -> IntervalSet | frozenset:
 # --- handlers ---------------------------------------------------------------
 
 def _cmd_fuzzy(args) -> int:
+    if args.op == "complement":
+        _applies_only(args, "to fuzzy union and intersect", "--b", "--tnorm")
     a = read_fuzzy_set(args.a)
-    kind = TNormKind(args.tnorm)
     if args.op == "complement":
         result = fuzzy_complement(a)
     else:
@@ -211,7 +225,7 @@ def _cmd_fuzzy(args) -> int:
             raise ValueError(f"fuzzy {args.op} needs --b")
         b = read_fuzzy_set(args.b)
         op = fuzzy_union if args.op == "union" else fuzzy_intersection
-        result = op(a, b, kind)
+        result = op(a, b, TNormKind(args.tnorm or DEFAULT_TNORM))
     for label, grade in result.items():
         emit(label, grade)
     if args.out:
@@ -266,8 +280,8 @@ def _cmd_sugeno(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    if args.sweep_steps is not None and not args.csv:
-        raise ValueError("--sweep-steps applies only with --csv")
+    if not args.csv:
+        _applies_only(args, "with --csv", "--sweep-steps")
     w = load_wavefunction(args.wavefunction, args)
     a, b = parse_interval(args.interval)
     density = realize_density(w)  # once: the report, sweep and dump share it
@@ -320,6 +334,13 @@ def _parse_init(text: str) -> QubitState:
 
 
 def _cmd_qubit(args) -> int:
+    if args.report != "defuzz":
+        _applies_only(args, "with --report defuzz", "--method")
+    if args.report != "sample":
+        _applies_only(args, "with --report sample", "--draws")
+    if args.report != "sample" and args.method != "born_sample":
+        _applies_only(args, "when a draw happens: --report sample, or defuzz with "
+                      "--method born_sample", "--seed")
     if args.fuzzy is not None and args.init is not None:
         raise ValueError("give either --init or --fuzzy, not both")
     if args.fuzzy is not None:
@@ -345,12 +366,13 @@ def _cmd_qubit(args) -> int:
         emit("born_compatible", fuzzy_state.born_compatible)
     elif args.report == "defuzz":
         seed = resolve_seed(args.seed)
-        outcome = defuzzify(fuzzy_state, method=args.method, seed=seed)
+        outcome = defuzzify(fuzzy_state, method=args.method or DEFAULT_METHOD, seed=seed)
         emit("outcome", outcome)
     else:  # sample
         seed = resolve_seed(args.seed)
-        outcomes = born_sample_many(fuzzy_state, args.draws, seed=seed)
-        emit("draws", args.draws)
+        draws = DEFAULT_DRAWS if args.draws is None else args.draws
+        outcomes = born_sample_many(fuzzy_state, draws, seed=seed)
+        emit("draws", draws)
         emit("freq0", float(np.mean(outcomes == 0)))
         emit("freq1", float(np.mean(outcomes == 1)))
     return 0
@@ -404,12 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzzy = sub.add_parser("fuzzy", help="pointwise fuzzy set algebra")
     p_fuzzy.add_argument("op", choices=("union", "intersect", "complement"))
     p_fuzzy.add_argument("--a", required=True, help="fuzzy set file (label,grade)")
-    p_fuzzy.add_argument("--b", help="second fuzzy set file")
+    p_fuzzy.add_argument("--b", help="second fuzzy set file (union and intersect)")
     p_fuzzy.add_argument(
         "--tnorm",
         choices=tuple(k.value for k in TNormKind),
-        default="minimum",
-        help="t-norm/t-conorm pair (default: minimum)",
+        help=f"t-norm/t-conorm pair (union and intersect; default: {DEFAULT_TNORM})",
     )
     p_fuzzy.add_argument("--out", help="write the result as label,grade lines")
     p_fuzzy.set_defaults(handler=_cmd_fuzzy)
@@ -478,9 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("state", "memberships", "defuzz", "sample"),
         default="memberships",
     )
-    p_qubit.add_argument("--method", choices=("argmax", "born_sample"), default="argmax")
-    p_qubit.add_argument("--draws", type=int, default=1)
-    p_qubit.add_argument("--seed", type=int, default=None)
+    p_qubit.add_argument("--method", choices=("argmax", "born_sample"),
+                         help=f"with --report defuzz (default: {DEFAULT_METHOD})")
+    p_qubit.add_argument("--draws", type=int,
+                         help=f"with --report sample (default: {DEFAULT_DRAWS})")
+    p_qubit.add_argument("--seed", type=int,
+                         help=f"when a draw happens (default: ${SEED_ENV_VAR}, then 0)")
     p_qubit.set_defaults(handler=_cmd_qubit)
 
     p_ent = sub.add_parser("entangle", help="two-qubit states and the det witness")

@@ -158,9 +158,10 @@ def write_table_measure(m: MeasureSpec, path) -> None:
     if not isinstance(m, TableMeasure):
         raise ValueError("only table measures have a table text form")
     order = {_table_label(label): i for i, label in enumerate(m.universe)}
-    subsets = sorted(m.table, key=lambda s: (len(s), sorted(order[x] for x in s)))
+    table = m.table  # built on each read, so read once
+    subsets = sorted(table, key=lambda s: (len(s), sorted(order[x] for x in s)))
     _write_rows(path, [
-        ("|".join(sorted(s, key=order.__getitem__)) or "{}", m.table[s])
+        ("|".join(sorted(s, key=order.__getitem__)) or "{}", table[s])
         for s in subsets
     ])
 

@@ -60,7 +60,11 @@ class FiniteFuzzySet:
     grades: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = tuple(str(x) for x in self.universe)
+        labels = self.universe
+        # a tuple of exact str is kept as given, so the sets built on one
+        # labels tuple, and the algebra results among them, share it
+        if type(labels) is not tuple or set(map(type, labels)) != {str}:
+            labels = tuple(str(x) for x in labels)
         if not labels:
             raise ValueError("universe must be non-empty")
         if len(set(labels)) != len(labels):

@@ -96,14 +96,17 @@ class MeasureSpec:
         # grow one label at a time and the integral is the best
         # min(value, mu(top-set)); a stable sort keeps ties in universe order
         order = idx[np.argsort(-f.grades[idx], kind="stable")]
+        if not order.size:
+            return 0.0
+        return float(np.max(np.minimum(f.grades[order], self._top_sets(f, order))))
+
+    def _top_sets(self, f: FiniteFuzzySet, order: np.ndarray):
+        """mu of each top-set of the walk, the labels of f at ``order[:k + 1]``."""
         labels = [f.universe[k] for k in order]
         # each prefix is measured on its own, O(n^3) in all for a possibility
         # measure since grade_of scans the universe; the running max
         # np.maximum.accumulate(pi[order]) is the O(n) form (ROADMAP item 2)
-        values = [measure_of(self, labels[: k + 1]) for k in range(len(labels))]
-        if not order.size:
-            return 0.0
-        return float(np.max(np.minimum(f.grades[order], values)))
+        return [measure_of(self, labels[: k + 1]) for k in range(len(labels))]
 
     def _sugeno_grid(self, f: GridFunction, a: IntervalSet) -> float:
         """Grid measure types override this; a finite one's ``_event`` refuses ``a``."""
@@ -324,30 +327,41 @@ def _sup_min(fv: np.ndarray, pv: np.ndarray) -> float:
     return best
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TableMeasure(MeasureSpec):
     """mu given subset by subset over a small finite universe.
 
-    Keys become frozensets of ``str`` labels of ``universe``, values floats
-    at least 0.  The table must be total (at most 12 labels), with
-    mu(empty) = 0, mu(universe) = 1 and monotonicity, all checked exhaustively.
+    ``table`` maps subsets, iterables of labels of ``universe``, to values
+    at least 0.  It must be total (at most 12 labels), with mu(empty) = 0,
+    mu(universe) = 1 and monotonicity, all checked exhaustively.  The
+    measure keeps ``values``, a read-only float64 array of length 2^n: a
+    subset's value sits at its bitmask, bit i standing for ``universe[i]``.
+    Its ``table`` is the frozenset -> value map, built from ``values`` on
+    each read.
     """
 
     universe: tuple[str, ...]
-    table: Mapping[frozenset, float]
+    values: np.ndarray
+    _bits: dict = field(repr=False)  # label -> 1 << its index in universe
 
-    def __post_init__(self) -> None:
-        labels = tuple(str(x) for x in self.universe)
-        known, canon = frozenset(labels), {}
-        for key, value in self.table.items():
-            subset = frozenset(str(x) for x in key)
-            if not subset <= known:
-                raise ValueError(f"table subset contains foreign labels {sorted(subset - known)}")
-            if subset in canon:
-                raise ValueError(f"duplicate table entry for {sorted(subset)}")
-            canon[subset] = _table_value(subset, value)
+    def __init__(self, universe: Iterable[str], table: Mapping[Iterable[str], float]) -> None:
+        labels = tuple(str(x) for x in universe)
+        bits = {label: 1 << i for i, label in enumerate(labels)}
+        given: dict[int, float] = {}  # mask -> value, in table order
+        for key, value in table.items():
+            try:
+                mask = sum({bits[str(x)] for x in key})
+            except KeyError:
+                foreign = sorted(frozenset(str(x) for x in key) - frozenset(labels))
+                raise ValueError(f"table subset contains foreign labels {foreign}") from None
+            if mask in given:
+                raise ValueError(f"duplicate table entry for {sorted(_labels_of(labels, mask))}")
+            v = float(value)
+            if not v >= 0.0:  # NaN too
+                _table_value(_labels_of(labels, mask), v)  # raises, naming the subset
+            given[mask] = v
         object.__setattr__(self, "universe", labels)
-        object.__setattr__(self, "table", canon)
+        object.__setattr__(self, "_bits", bits)
         if not labels:
             raise ValueError("table universe must be non-empty")
         if len(set(labels)) != len(labels):
@@ -357,28 +371,65 @@ class TableMeasure(MeasureSpec):
                 f"table measures support at most {MAX_TABLE_UNIVERSE} elements, "
                 f"got {len(labels)}"
             )
-        if len(canon) != 2 ** len(labels):
+        if len(given) != 2 ** len(labels):
             raise ValueError(
                 f"table must be total: expected {2 ** len(labels)} subsets, "
-                f"got {len(canon)}"
+                f"got {len(given)}"
             )
-        if abs(canon[frozenset()]) > 1e-12:
+        values = np.empty(len(given))
+        values[list(given)] = list(given.values())
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        if abs(values[0]) > 1e-12:
             raise ValueError("table must assign 0 to the empty subset")
-        if abs(canon[frozenset(labels)] - 1.0) > 1e-12:
+        if abs(values[-1] - 1.0) > 1e-12:
             raise ValueError("table must assign 1 to the whole universe")
         # removing one element can never increase the value; by chaining,
-        # this check covers every nested pair
-        for subset, value in canon.items():
-            for e in subset:
-                smaller = canon[subset - {e}]
-                if smaller > value + 1e-12:
-                    raise ValueError(
-                        f"table is not monotone: mu({sorted(subset - {e})}) = "
-                        f"{smaller} exceeds mu({sorted(subset)}) = {value}"
-                    )
+        # this check covers every nested pair.  For bit i, the view
+        # pairs[:, 0] holds the subsets without it and pairs[:, 1] the same
+        # subsets with it; bad marks each subset that loses value without i
+        bad = np.zeros(values.size, dtype=bool)
+        for i in range(len(labels)):
+            pairs = values.reshape(-1, 2, 1 << i)
+            bad.reshape(-1, 2, 1 << i)[:, 1] |= pairs[:, 0] > pairs[:, 1] + 1e-12
+        if bad.any():
+            # the first bad subset in table order, less its first bad label
+            s = next(s for s in given if bad[s])
+            smaller = next(
+                s & ~b for b in bits.values() if s & b and values[s & ~b] > values[s] + 1e-12
+            )
+            raise ValueError(
+                f"table is not monotone: mu({sorted(_labels_of(labels, smaller))}) = "
+                f"{float(values[smaller])} exceeds mu({sorted(_labels_of(labels, s))}) = "
+                f"{float(values[s])}"
+            )
+
+    @property
+    def table(self) -> dict[frozenset, float]:
+        """Each subset's value, keyed by its labels; built on each read."""
+        return {_labels_of(self.universe, s): v for s, v in enumerate(self.values.tolist())}
 
     def _measure(self, a) -> float:
-        return self.table[self._event(a)]
+        """One read of ``values``, at the event's bitmask."""
+        if a is None or isinstance(a, IntervalSet):
+            self._event(a)  # None is the whole universe; an interval set is refused
+            return float(self.values[-1])
+        labels = [str(x) for x in a]
+        try:
+            return float(self.values[sum({self._bits[label] for label in labels})])
+        except KeyError:
+            self._event(labels)  # refuses, naming every foreign label
+            raise
+
+    def _top_sets(self, f: FiniteFuzzySet, order: np.ndarray) -> np.ndarray:
+        """The top-sets' bitmasks are a running OR of their labels' bits."""
+        bit = np.array([self._bits[label] for label in f.universe])
+        return self.values[np.bitwise_or.accumulate(bit[order])]
+
+
+def _labels_of(labels: tuple[str, ...], mask: int) -> frozenset:
+    """The labels whose bits are set in ``mask``."""
+    return frozenset(label for i, label in enumerate(labels) if mask >> i & 1)
 
 
 def measure_of(m: MeasureSpec, a) -> float:

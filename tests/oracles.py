@@ -64,6 +64,46 @@ def sugeno_bruteforce_oracle(
     return best
 
 
+def sugeno_table_walk_oracle(f: FiniteFuzzySet, a, table) -> float:
+    """The sorted-value walk over a table given as a map from frozensets of
+    labels to values, one lookup per top-set.
+
+    The labels of ``a`` (None for all of f's) are ranked by f downward, ties
+    kept in f's order, and each prefix of the ranking is a top-set: the
+    integral is the best min(f, mu(top-set)).  The reference for the table
+    measure's walk, which reads the same values by bitmask and must match
+    it bit for bit.
+    """
+    event = set(f.universe) if a is None else {str(x) for x in a}
+    ranked = sorted((l for l in f.universe if l in event), key=f.grade_of, reverse=True)
+    best, top = 0.0, frozenset()
+    for label in ranked:
+        top = top | {label}
+        best = max(best, min(f.grade_of(label), table[top]))
+    return best
+
+
+def random_monotone_table(rng: np.random.Generator, labels: tuple[str, ...]) -> dict:
+    """A seeded total monotone table on ``labels``, keyed by tuples in a
+    shuffled order: a mix of an additive and a possibility measure, with
+    values rounded to eighths in about half the tables, so that mu ties."""
+    n = len(labels)
+    masks = np.arange(1 << n)
+    member = (masks[:, None] >> np.arange(n)) & 1
+    w = rng.random(n) + 0.01
+    pt = rng.random(n)
+    pt[rng.integers(n)] = 1.0
+    lam = rng.random()
+    values = lam * (member @ (w / w.sum())) + (1.0 - lam) * (member * pt).max(axis=1)
+    if rng.random() < 0.5:  # rounding is monotone, so the table stays monotone
+        values = np.round(values * 8.0) / 8.0
+    values[0], values[-1] = 0.0, 1.0
+    return {
+        tuple(labels[j] for j in np.flatnonzero(member[s])): float(values[s])
+        for s in rng.permutation(masks)
+    }
+
+
 def sugeno_grid_bisection_oracle(f: GridFunction, a: IntervalSet, m: MeasureSpec) -> float:
     """Grid Sugeno integral by bisection on g(alpha) = mu(a intersect {f >= alpha}),
     on the public ``alpha_cut`` and ``measure_of``.

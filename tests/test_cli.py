@@ -199,6 +199,16 @@ def test_fuzzy_union_requires_b(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag, value", [("--b", "missing.txt"), ("--tnorm", "product")],
+                         ids=["b", "tnorm"])
+def test_fuzzy_complement_refuses_a_flag_of_union_and_intersect(capsys, tmp_path, flag, value):
+    a_path = tmp_path / "a.txt"
+    write_fuzzy_set(FiniteFuzzySet(("x",), [0.3]), a_path)
+    code, out, err = run_cli(capsys, "fuzzy", "complement", "--a", str(a_path), flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} applies only to fuzzy union and intersect\n"
+
+
 # --- measure subcommand -----------------------------------------------------------
 
 def test_measure_eval_possibilistic_finite(capsys, tmp_path, pi_finite):
@@ -671,6 +681,31 @@ def test_qubit_sample_report(capsys):
     freq1 = float(values["freq1"])
     assert 0.47 <= freq0 <= 0.53
     assert abs(freq0 + freq1 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("argv, flag, where", [
+    (("--report", "memberships", "--draws", "5", "--method", "born_sample", "--seed", "3"),
+     "--method", "with --report defuzz"),
+    (("--report", "sample", "--method", "argmax"), "--method", "with --report defuzz"),
+    (("--report", "state", "--draws", "0"), "--draws", "with --report sample"),
+    (("--report", "defuzz", "--draws", "5"), "--draws", "with --report sample"),
+    (("--report", "defuzz", "--seed", "3"), "--seed",
+     "when a draw happens: --report sample, or defuzz with --method born_sample"),
+    (("--seed", "3"), "--seed",
+     "when a draw happens: --report sample, or defuzz with --method born_sample"),
+], ids=["method-memberships", "method-sample", "draws-state", "draws-defuzz", "seed-argmax",
+        "seed-memberships"])
+def test_qubit_refuses_a_flag_its_report_does_not_read(capsys, argv, flag, where):
+    code, out, err = run_cli(capsys, "qubit", "--init", "0", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} applies only {where}\n"
+
+
+def test_qubit_flag_defaults_apply_on_their_paths(capsys):
+    code, out, _ = run_cli(capsys, "qubit", "--fuzzy", "0.5,0.5", "--report", "sample")
+    assert code == 0 and out_lines(out)["draws"] == "1"
+    code, out, _ = run_cli(capsys, "qubit", "--fuzzy", "0.2,0.6", "--report", "defuzz")
+    assert code == 0 and out_lines(out)["outcome"] == "1"  # argmax
 
 
 def test_qubit_unnormalized_fuzzy_state(capsys):

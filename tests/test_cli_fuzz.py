@@ -2,8 +2,9 @@
 
 Whatever the arguments, ``vagueq`` must exit with 0, 1 or 2, raise
 nothing, emit no warning, and write nothing to stderr on success and
-exactly one ``error:`` line otherwise.  A call that succeeds used every
-flag it was given (``--sweep-steps`` only with ``--csv``).  Counts above
+exactly one ``error:`` line otherwise.  A call exits 1 with one line
+saying where a flag applies exactly when it gave a flag off that flag's
+path (``off_path``); each such flag is drawn on every path.  Counts above
 the caps appear only as values to be rejected; no accepted draw
 allocates more than a few hundred grid points.
 """
@@ -42,6 +43,30 @@ TOO_MANY = ("1000000000000", str(10**30))
 GRIDS = ("101", "257", "0", "-1", "100", "x", "1e3", str(MAX_GRID_POINTS + 1)) + TOO_MANY
 STEPS = ("1", "7", "0", "-1", "x", str(MAX_SWEEP_STEPS + 1)) + TOO_MANY
 DRAWS = ("1", "10", "0", "-1", "x", str(MAX_DRAWS + 1)) + TOO_MANY
+# the flags that only some paths of a command read
+PATH_FLAGS = ("--b", "--tnorm", "--method", "--draws", "--seed", "--sweep-steps")
+
+
+def off_path(argv) -> set[str]:
+    """The flags of ``PATH_FLAGS`` that ``argv``, a command's flag/value pairs,
+    gives on a path that does not read them."""
+    head = 2 if argv[:1] == ["fuzzy"] else 1
+    given = dict(zip(argv[head::2], argv[head + 1::2]))
+    if argv[:2] == ["fuzzy", "complement"]:
+        return {"--b", "--tnorm"} & given.keys()
+    if argv[:1] == ["localize"] and "--csv" not in given:
+        return {"--sweep-steps"} & given.keys()
+    if argv[:1] != ["qubit"]:
+        return set()
+    report = given.get("--report", "memberships")
+    off = set()
+    if report != "defuzz":
+        off.add("--method")
+    if report != "sample":
+        off.add("--draws")
+    if report != "sample" and given.get("--method") != "born_sample":
+        off.add("--seed")
+    return off & given.keys()
 
 
 @pytest.fixture(scope="module")
@@ -161,14 +186,16 @@ def argv_strategy(inputs, outputs):
     )
     word = st.sampled_from(("", "0", "01", "0011", "00111", "abc", "ε", "-x"))
 
+    tnorm = st.sampled_from(("minimum", "product", "lukasiewicz", "x"))
     commands = (
         command(
             ["fuzzy", "union"], {"--a": path("f.txt", "pi.txt")},
-            {"--b": path("f.txt", "pi.txt"),
-             "--tnorm": st.sampled_from(("minimum", "product", "lukasiewicz", "x")),
-             "--out": out},
+            {"--b": path("f.txt", "pi.txt"), "--tnorm": tnorm, "--out": out},
         ),
-        command(["fuzzy", "complement"], {"--a": path("f.txt")}, {"--out": out}),
+        command(
+            ["fuzzy", "complement"], {"--a": path("f.txt")},
+            {"--b": path("f.txt", "pi.txt"), "--tnorm": tnorm, "--out": out},
+        ),
         command(
             ["measure", "eval"], {"--measure": measure},
             {"--interval": pair, "--subset": subset, "--csv": out},
@@ -270,10 +297,16 @@ def test_every_argv_keeps_the_cli_contract(strategy, data):
     code, out, err, caught = run(argv)
     assert code in (0, 1, 2), (argv, code)
     assert not caught, (argv, [str(w.message) for w in caught])
+    # once argv parses, a flag off its path is refused before anything else
+    # runs, by a line that names it, and no other call says a flag applies
+    named = {f for f in PATH_FLAGS if err.startswith(f"error: {f} applies only ")}
+    off = off_path(argv) if code != 2 else set()
+    if off:
+        assert code == 1 and len(named) == 1 and named <= off, (argv, err)
+    else:
+        assert not named, (argv, err)
     if code == 0:
         assert err == "", (argv, err)
-        # a successful call read every flag it was given; a sweep reads --sweep-steps
-        assert "--sweep-steps" not in argv or "--csv" in argv, argv
     else:
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
         assert err.endswith("\n")

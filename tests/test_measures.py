@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,12 +16,14 @@ from vagueq import (
     TableMeasure,
     check_additivity,
     check_possibility_union_axiom,
+    fuzzy_union,
     measure_of,
     read_table_measure,
     sugeno_integral,
     union_all,
     write_table_measure,
 )
+from oracles import random_monotone_table, sugeno_table_walk_oracle
 
 ERF_MASS_MINUS1_TO_1 = 0.6826894921370859  # erf(1/sqrt(2)), independent oracle
 
@@ -82,8 +86,15 @@ def same_refusal(universe, table):
 def test_table_measure_accepts_monotone_total_table():
     m = MeasureSpec.from_table(("a", "b"), _table_2())
     assert measure_of(m, ["a"]) == 0.3
+    assert measure_of(m, ["a", "a"]) == 0.3
     assert measure_of(m, []) == 0.0
     assert measure_of(m, ["a", "b"]) == 1.0
+    # a label repeated in a key counts once
+    m = MeasureSpec.from_table(("a", "b"), {(): 0.0, ("a", "a"): 0.3, ("b",): 0.8, ("b", "a"): 1.0})
+    assert measure_of(m, ["a"]) == 0.3
+    # monotonicity holds to within 1e-12
+    m = MeasureSpec.from_table(("a", "b"), _table_2() | {("a",): 1.0 + 5e-13})
+    assert measure_of(m, ["a"]) == 1.0 + 5e-13
 
 
 def test_table_measure_rejects_non_monotone():
@@ -102,6 +113,21 @@ def test_table_measure_rejects_non_monotone():
     with pytest.raises(ValueError, match="monotone"):
         MeasureSpec.from_table(("a", "b", "c"), bad)
     same_refusal(("a", "b", "c"), bad)
+    # a violation that only dropping the first label shows
+    t = _table_2() | {("b",): 1.5}
+    with pytest.raises(ValueError, match=r"^table is not monotone: mu\(\['b'\]\) = 1.5 exceeds"):
+        MeasureSpec.from_table(("a", "b"), t)
+    same_refusal(("a", "b"), t)
+    # of several violations, the first bad subset in table order is named,
+    # less the first of its bad labels in universe order
+    rest = {(): 0.0, ("a",): 0.5, ("b",): 0.5, ("c",): 0.1, ("b", "c"): 0.6, ("a", "b", "c"): 1.0}
+    for first, message in (
+        ({("a", "c"): 0.4, ("a", "b"): 0.1}, r"mu\(\['a'\]\) = 0.5 exceeds mu\(\['a', 'c'\]\) = 0.4"),
+        ({("a", "b"): 0.1, ("a", "c"): 0.4}, r"mu\(\['b'\]\) = 0.5 exceeds mu\(\['a', 'b'\]\) = 0.1"),
+    ):
+        with pytest.raises(ValueError, match=f"^table is not monotone: {message}$"):
+            MeasureSpec.from_table(("a", "b", "c"), first | rest)
+        same_refusal(("a", "b", "c"), first | rest)
 
 
 def test_table_measure_rejects_partial_tables():
@@ -143,6 +169,64 @@ def test_table_measure_rejects_large_universes():
     with pytest.raises(ValueError, match="at most 12"):
         MeasureSpec.from_table(labels, {})
     same_refusal(labels, {})
+    # the labels of each key are checked first, as they are read
+    with pytest.raises(ValueError, match=r"^table subset contains foreign labels \['zz'\]$"):
+        MeasureSpec.from_table(labels, {("e0", "zz"): 0.5})
+    same_refusal(labels, {("e0", "zz"): 0.5})
+    # the size is refused before anything of size 2^n is allocated
+    labels = tuple(f"e{i}" for i in range(40))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^table measures support at most 12 elements, got 40$"):
+            MeasureSpec.from_table(labels, {(): 0.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+    same_refusal(labels, {(): 0.0})
+
+
+def test_table_measure_keeps_one_array_and_finite_sets_share_their_labels():
+    labels = tuple(f"e{i}" for i in range(12))
+    table = {s: len(s) / 12 for k in range(13) for s in combinations(labels, k)}
+    MeasureSpec.from_table(labels, table)  # any first-call caches fill here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = MeasureSpec.from_table(labels, table)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 8 * 2**12 + 4096, kept  # the values, plus a small fixed part
+    assert m.values.nbytes == 8 * 2**12
+    rng = np.random.default_rng(17)
+    labels = tuple(f"e{i}" for i in range(300))
+    a = FiniteFuzzySet(labels, rng.random(300))
+    b = FiniteFuzzySet(labels, rng.random(300))
+    assert a.universe is labels and b.universe is labels
+    assert fuzzy_union(a, b).universe is labels
+
+
+def test_table_route_matches_the_table_walk_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 13):
+        labels = tuple(f"l{j}" for j in rng.permutation(n))
+        for _ in range(2):
+            table = random_monotone_table(rng, labels)
+            m = TableMeasure(labels, table)
+            by_set = {frozenset(k): v for k, v in table.items()}
+            assert m.table == by_set
+            for key in list(table)[:200]:
+                assert measure_of(m, key) == table[key]
+            assert measure_of(m, None) == 1.0
+            for k in range(40):
+                levels = rng.random(3)  # f ties on every other draw
+                grades = levels[rng.integers(3, size=n)] if k % 2 else rng.random(n)
+                order = rng.permutation(n) if k % 3 else np.arange(n)
+                f = FiniteFuzzySet(tuple(labels[j] for j in order), grades)
+                a = None if k % 5 == 0 else [l for l in labels if rng.random() < 0.6]
+                got = sugeno_integral(f, a, m)
+                assert got.hex() == sugeno_table_walk_oracle(f, a, by_set).hex(), (n, k)
 
 
 # --- evaluation ----------------------------------------------------------------
