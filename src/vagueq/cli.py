@@ -338,7 +338,8 @@ def _cmd_qubit(args) -> int:
         _applies_only(args, "with --report defuzz", "--method")
     if args.report != "sample":
         _applies_only(args, "with --report sample", "--draws")
-    if args.report != "sample" and args.method != "born_sample":
+    draw = args.report == "sample" or (args.report == "defuzz" and args.method == "born_sample")
+    if not draw:
         _applies_only(args, "when a draw happens: --report sample, or defuzz with "
                       "--method born_sample", "--seed")
     if args.fuzzy is not None and args.init is not None:
@@ -352,6 +353,7 @@ def _cmd_qubit(args) -> int:
     else:
         state = _apply_gates(_parse_init(args.init or "0"), args.gate or [])
         fuzzy_state = fuzzify(state)
+    seed = resolve_seed(args.seed) if draw else None
 
     if args.report == "state":
         if state is None:
@@ -365,11 +367,9 @@ def _cmd_qubit(args) -> int:
         emit("mu1", fuzzy_state.mu1)
         emit("born_compatible", fuzzy_state.born_compatible)
     elif args.report == "defuzz":
-        seed = resolve_seed(args.seed)
         outcome = defuzzify(fuzzy_state, method=args.method or DEFAULT_METHOD, seed=seed)
         emit("outcome", outcome)
     else:  # sample
-        seed = resolve_seed(args.seed)
         draws = DEFAULT_DRAWS if args.draws is None else args.draws
         outcomes = born_sample_many(fuzzy_state, draws, seed=seed)
         emit("draws", draws)

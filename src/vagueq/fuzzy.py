@@ -239,10 +239,6 @@ class GridFunction:
         prefix.setflags(write=False)
         return prefix
 
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
     def full_span(self) -> IntervalSet:
         return IntervalSet.interval(self.x_min, self.x_max)
 
@@ -264,6 +260,13 @@ class GridFunction:
         # when y0 == y1 no clamp fires, so the sign of a zero bound is moot
         y_lo, y_hi = np.minimum(y0, y1), np.maximum(y0, y1)
         return xs, k, np.where(y_lo > v, y_lo, np.where(y_hi < v, y_hi, v))
+
+    def _node_range(self, lo, hi, closed: bool = False):
+        """Where the nodes inside each [lo, hi] start and stop, for scalar or
+        array ends: ``nodes[start:stop]`` lie strictly between lo and hi, or,
+        ``closed``, in [lo, hi] with both ends."""
+        left, right = ("left", "right") if closed else ("right", "left")
+        return self.nodes.searchsorted(lo, side=left), self.nodes.searchsorted(hi, side=right)
 
     def _cumulative(self, xs) -> np.ndarray:
         xs, k, v = self._read(xs)
@@ -294,11 +297,11 @@ class GridFunction:
         """
         if a.is_empty:
             return 0.0
-        values = self._read(np.ravel(a.intervals))[2].tolist()
+        ends = np.ravel(a.intervals)
+        values = self._read(ends)[2].tolist()
+        starts, stops = self._node_range(ends[::2], ends[1::2])
         best = 0.0
-        for (lo, hi), v_lo, v_hi in zip(a.intervals, values[::2], values[1::2]):
-            i0 = int(self.nodes.searchsorted(lo, side="right"))
-            i1 = int(self.nodes.searchsorted(hi, side="left"))
+        for i0, i1, v_lo, v_hi in zip(starts.tolist(), stops.tolist(), values[::2], values[1::2]):
             if i1 > i0:
                 best = max(best, float(self.samples[i0:i1].max()))
             best = max(best, v_lo, v_hi)

@@ -70,8 +70,8 @@ def alpha_cut(
         # from one cell before the cell holding lo to the first node at or past
         # hi: a crossing never falls below its cell's left node but may round a
         # few ulps past its right one, so none from outside this reaches [lo, hi)
-        j0 = max(int(xs.searchsorted(lo, side="right")) - 2, 0)
-        j1 = int(xs.searchsorted(hi, side="left")) + 1
+        start, stop = f._node_range(lo, hi)
+        j0, j1 = max(int(start) - 2, 0), int(stop) + 1
         ys, xs = ys[j0:j1], xs[j0:j1]
     sat = _superlevel(ys, alpha, strict)
     k = np.flatnonzero(sat[:-1] != sat[1:])

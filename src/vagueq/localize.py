@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuzzy import GridFunction
+from .fuzzy import GridFunction, _grid_nodes
 from .integrals import grid_tolerance, sugeno_integral
 from .intervals import IntervalSet
 from .measures import MeasureSpec, PossibilityMeasure, measure_of
@@ -93,8 +93,8 @@ class GaussianWavefunction(WavefunctionSpec):
             raise ValueError(f"domain [{lo}, {hi}] must be finite and non-empty")
 
     def _density(self) -> GridFunction:
-        lo, hi = self.domain
-        xs = np.linspace(lo, hi, self.grid_points)
+        lo, hi = map(float, self.domain)
+        xs = _grid_nodes(lo, hi, self.grid_points)  # the GridFunction below shares them
         with np.errstate(over="ignore"):  # far tails: z * z is inf, exp gives 0
             z = (xs - self.mu) / self.sigma
             ys = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
@@ -123,7 +123,7 @@ class BoxWavefunction(WavefunctionSpec):
             raise ValueError(f"box length must be positive and in range, got {length}")
 
     def _density(self) -> GridFunction:
-        xs = np.linspace(0.0, self.length, self.grid_points)
+        xs = _grid_nodes(0.0, self.length, self.grid_points)
         ys = (2.0 / self.length) * np.sin(self.level * math.pi * xs / self.length) ** 2
         return GridFunction(0.0, self.length, ys)
 
@@ -231,9 +231,9 @@ def localization_sweep(
     cumulative = density._cumulative(ends)
     # as max_over reads pi over [a, x): pi(a), pi at the nodes inside, pi(x)
     values = pi._read(ends)[2]
-    first = np.searchsorted(pi.nodes, a, side="right")
+    first, stops = pi._node_range(a, xs)
     running = np.maximum.accumulate(np.append(values[0], pi.samples[first:]))
-    sup = np.maximum(running[np.searchsorted(pi.nodes, xs) - first], values[1:])
+    sup = np.maximum(running[stops - first], values[1:])
     probability = (cumulative[1:] - cumulative[0]).tolist()
     possibility = np.where(sup > 0.0, sup, 0.0).tolist()  # a zero as +0.0, as max_over
     return list(zip([a] * steps, xs.tolist(), probability, possibility))

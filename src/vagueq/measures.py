@@ -178,16 +178,20 @@ class AdditiveMeasure(MeasureSpec):
         the bracket.  A bracket too narrow to hold its quarters, or whose y
         are too noisy to give b < 0, returns l0, within Delta of the
         crossing."""
-        # before any early return, so the error never depends on f: measure_of
-        # rejects an event outside the measure's domain or span, and reading the
-        # event's ends rejects one outside f's span
-        measure_of(self, a)
-        parts = [[0.0, math.inf], f._read(np.ravel(a.intervals))[2]]
+        # before any early return, so the error never depends on f: the event
+        # is checked against the domain, then its ends are read on rho and on f,
+        # which rejects one outside either span
+        self._event(a)
         rho = self.density
-        for piece in a.intervals:
-            parts.append(f.samples[_on(f.nodes, *piece)])
+        ends = np.ravel(a.intervals)
+        rho._read(ends)
+        parts = [[0.0, math.inf], f._read(ends)[2]]
+        lo, hi = ends[::2], ends[1::2]
+        ranges = f._node_range(lo, hi, True) + rho._node_range(lo, hi, True)
+        for i0, i1, j0, j1 in zip(*(r.tolist() for r in ranges)):
+            parts.append(f.samples[i0:i1])
             if rho.nodes is not f.nodes:
-                parts.append(f._read(rho.nodes[_on(rho.nodes, *piece)])[2])
+                parts.append(f._read(rho.nodes[j0:j1])[2])
         levels = np.sort(np.concatenate(parts))
 
         def g(alpha: float) -> float:
@@ -283,33 +287,22 @@ class PossibilityMeasure(MeasureSpec):
         ends = np.ravel(a.intervals)
         p_ends, f_ends = pi._read(ends)[2], f._read(ends)[2]
         shared = f.nodes is pi.nodes
+        lo, hi = ends[::2], ends[1::2]
+        ranges = f._node_range(lo, hi) + pi._node_range(lo, hi)
         best = 0.0
-        for (lo, hi), f_lo, f_hi, p_lo, p_hi in zip(
-            a.intervals, f_ends[::2], f_ends[1::2], p_ends[::2], p_ends[1::2]
+        for i0, i1, j0, j1, f_lo, f_hi, p_lo, p_hi in zip(
+            *(r.tolist() for r in ranges), f_ends[::2], f_ends[1::2], p_ends[::2], p_ends[1::2]
         ):
             if shared:  # the same nodes: read the samples as they are
-                inside = _inside(pi.nodes, lo, hi)
-                f_in, p_in = f.samples[inside], pi.samples[inside]
+                f_in, p_in = f.samples[j0:j1], pi.samples[j0:j1]
             else:
-                xs = np.union1d(
-                    f.nodes[_inside(f.nodes, lo, hi)], pi.nodes[_inside(pi.nodes, lo, hi)]
-                )
+                xs = np.union1d(f.nodes[i0:i1], pi.nodes[j0:j1])
                 f_in, p_in = f._read(xs)[2], pi._read(xs)[2]
             best = max(best, _sup_min(
                 np.concatenate(([f_lo], f_in, [f_hi])),
                 np.concatenate(([p_lo], p_in, [p_hi])),
             ))
         return best
-
-
-def _inside(nodes: np.ndarray, lo: float, hi: float) -> slice:
-    """The slice of ``nodes`` strictly between lo and hi."""
-    return slice(nodes.searchsorted(lo, side="right"), nodes.searchsorted(hi, side="left"))
-
-
-def _on(nodes: np.ndarray, lo: float, hi: float) -> slice:
-    """The slice of ``nodes`` in [lo, hi], ends included."""
-    return slice(nodes.searchsorted(lo, side="left"), nodes.searchsorted(hi, side="right"))
 
 
 def _sup_min(fv: np.ndarray, pv: np.ndarray) -> float:

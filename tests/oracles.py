@@ -174,7 +174,7 @@ def _inside_loop(f: GridFunction, x: float) -> float:
 
 def _cell_loop(f: GridFunction, x: float) -> int:
     k = int(np.searchsorted(f.nodes, x, side="right")) - 1
-    return min(max(k, 0), f.n - 2)
+    return min(max(k, 0), f.samples.size - 2)
 
 
 def value_at_loop(f: GridFunction, x: float) -> float:

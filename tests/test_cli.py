@@ -659,6 +659,10 @@ def test_qubit_seed_env_fallback(capsys, monkeypatch):
         "born_sample",
     )
     assert code == 1 and "VAGUEQ_SEED" in err
+    # argmax draws nothing, so it never reads the variable
+    code, out, _ = run_cli(capsys, "qubit", "--fuzzy", "0.5,0.5", "--report", "defuzz")
+    assert code == 0
+    assert out_lines(out)["outcome"] == "0"
 
 
 def test_qubit_sample_report(capsys):

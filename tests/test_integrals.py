@@ -451,6 +451,22 @@ def test_additive_grid_sugeno_returns_early_without_bisecting(monkeypatch):
     assert len(cuts) == 1
 
 
+def test_additive_grid_sugeno_checks_its_event_without_integrating_over_it(monkeypatch):
+    # the event is checked by reading its ends, not by a full measure of it
+    # that is thrown away: no integral inside the route is over the event itself
+    f = normal_density(n=2001).scaled_by_max()
+    m = MeasureSpec.additive(normal_density())
+    a = IntervalSet.from_pairs([(-3.0, -1.5), (-1.0, 1.0), (2.0, 2.5)])
+    want = sugeno_integral(f, a, m)
+    events = []
+    original = GridFunction.integral_over
+    monkeypatch.setattr(
+        GridFunction, "integral_over", lambda self, e: events.append(e) or original(self, e)
+    )
+    assert sugeno_integral(f, a, m) == want
+    assert events and all(e is not a for e in events)
+
+
 def test_grid_bisection_ends_when_levels_outgrow_the_tolerance(monkeypatch):
     # g(alpha) = 1e8 - alpha / 2 crosses the identity at 2e8 / 3, where
     # adjacent floats lie ~1.5e-8 apart, wider than BISECTION_TOL; the
@@ -588,7 +604,7 @@ def test_additive_grid_sugeno_matches_the_bisection_oracle(monkeypatch):
             assert abs(got - sugeno_grid_bisection_oracle(f, a, m)) <= 2e-10, (trial, a)
             # at most ceil(log2(levels + 1)) + 3 cuts, the levels being at
             # most the piece ends and the nodes of both grids
-            levels = 2 * len(a.intervals) + f.n + rho.n
+            levels = 2 * len(a.intervals) + f.samples.size + rho.samples.size
             assert count <= math.ceil(math.log2(levels + 1)) + 3, (trial, count)
 
             def g(alpha):

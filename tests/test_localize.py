@@ -34,7 +34,7 @@ def test_gaussian_density_peak_value():
     density = realize_density(WavefunctionSpec.gaussian(0.0, 1.0))
     assert abs(density.value_at(0.0) - PEAK_STANDARD_NORMAL) <= 1e-6
     assert density.x_min == -8.0 and density.x_max == 8.0
-    assert density.n == 10001
+    assert density.samples.size == 10001
 
 
 def test_gaussian_domain_override():
@@ -42,7 +42,23 @@ def test_gaussian_domain_override():
         WavefunctionSpec.gaussian(5.0, 2.0, domain=(0.0, 10.0), grid_points=501)
     )
     assert density.x_min == 0.0 and density.x_max == 10.0
-    assert density.n == 501
+    assert density.samples.size == 501
+
+
+def test_realizing_a_density_lays_out_its_grid_once(monkeypatch):
+    # the samples are taken at the grid's shared nodes, so a fresh grid runs
+    # np.linspace once, not once for the samples and again for the nodes
+    calls = []
+    linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *args, **kw: calls.append(args) or linspace(*args, **kw))
+    for w in (
+        WavefunctionSpec.gaussian(0.123456789, 0.987654321, grid_points=1234),
+        WavefunctionSpec.box_eigenstate(3, 2.718281828, grid_points=1235),
+    ):
+        calls.clear()
+        density = realize_density(w)
+        assert len(calls) == 1, (w, calls)
+        assert density.samples.size == calls[0][2]
 
 
 def test_box_density_values_at_nodes():
