@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -19,6 +20,9 @@ import numpy as np
 from .intervals import IntervalSet
 
 GRADE_SLACK = 1e-12
+# up to this many points a grid is read in Python floats; past about 12-16,
+# one array pass is the cheaper reading
+_FEW_POINTS = 12
 
 
 def as_grade(value: float) -> float:
@@ -172,7 +176,9 @@ class GridFunction:
     Between nodes the function is read by linear interpolation, and all
     geometric queries (integrals, suprema, level sets) use that same
     piecewise-linear reading, so different code paths agree about what
-    the function *is*.  The compensated prefix sums behind every integral
+    the function *is*.  That reading runs in Python floats for up to
+    ``_FEW_POINTS`` points and in one array pass beyond, bit for bit the
+    same either way.  The compensated prefix sums behind every integral
     are built on the first integral read, so a function read only through
     suprema never pays for them; construction still refuses a grid whose
     integral overflows.
@@ -243,9 +249,10 @@ class GridFunction:
         return IntervalSet.interval(self.x_min, self.x_max)
 
     def _read(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The one piecewise-linear reading: at each point of ``xs``, the point
-        clamped into the span, its cell k (nodes k to k+1) and the value, clamped
-        to the cell's samples.  np.where keeps a zero's sign; np.clip may not."""
+        """The piecewise-linear reading in one array pass, for many points or
+        node arrays: at each point of ``xs``, the point clamped into the span, its
+        cell k (nodes k to k+1) and the value, clamped to the cell's samples.
+        np.where keeps a zero's sign; np.clip may not."""
         xs = np.asarray(xs, dtype=float)
         lo, hi = self.x_min, self.x_max
         if np.count_nonzero((xs >= lo) & (xs <= hi)) < xs.size:
@@ -261,6 +268,27 @@ class GridFunction:
         y_lo, y_hi = np.minimum(y0, y1), np.maximum(y0, y1)
         return xs, k, np.where(y_lo > v, y_lo, np.where(y_hi < v, y_hi, v))
 
+    def _read_few(self, xs) -> tuple[list, list, list]:
+        """``_read`` for a few points, as lists: point by point the same
+        operations in the same order on Python floats, so bit for bit the same,
+        without an array pass's fixed cost.  float(x) comes first, so no point
+        reads in float32."""
+        lo, hi = self.x_min, self.x_max
+        slack = 1e-12 * max(1.0, hi - lo)
+        below, above, inside = lo - slack, hi + slack, []
+        for x in map(float, xs):
+            if not below <= x <= above:
+                raise ValueError(f"point {x} outside grid span [{lo}, {hi}]")
+            inside.append(hi if hi < x else lo if lo > x else x)
+        ks = self.nodes[1:-1].searchsorted(inside, side="right").tolist()
+        y, node, h, values = self.samples.item, self.nodes.item, self.spacing, []
+        for x, k in zip(inside, ks):
+            y0, y1 = y(k), y(k + 1)
+            v = y0 + (x - node(k)) / h * (y1 - y0)
+            y_lo, y_hi = (y0, y1) if y0 <= y1 else (y1, y0)
+            values.append(y_lo if y_lo > v else y_hi if y_hi < v else v)
+        return inside, ks, values
+
     def _node_range(self, lo, hi, closed: bool = False):
         """Where the nodes inside each [lo, hi] start and stop, for scalar or
         array ends: ``nodes[start:stop]`` lie strictly between lo and hi, or,
@@ -272,12 +300,17 @@ class GridFunction:
         xs, k, v = self._read(xs)
         return self._prefix[k] + (xs - self.nodes[k]) * 0.5 * (self.samples[k] + v)
 
+    def _cumulative_few(self, xs) -> list:
+        xs, ks, values = self._read_few(xs)
+        prefix, y, node = self._prefix.item, self.samples.item, self.nodes.item
+        return [prefix(k) + (x - node(k)) * 0.5 * (y(k) + v) for x, k, v in zip(xs, ks, values)]
+
     def value_at(self, x: float) -> float:
         """Piecewise-linear reading at x (must lie within the span)."""
-        return float(self._read(x)[2])
+        return self._read_few((x,))[2][0]
 
     def cumulative_at(self, x: float) -> float:
-        return float(self._cumulative(x))
+        return self._cumulative_few((x,))[0]
 
     def integral_over(self, a: IntervalSet) -> float:
         """Exact integral of the piecewise-linear interpolant over ``a``.
@@ -285,20 +318,24 @@ class GridFunction:
         Computed as differences of the cumulative trapezoid, so the sum
         over disjoint pieces telescopes and additivity holds to round-off.
         """
-        ends = self._cumulative(np.ravel(a.intervals))
-        return math.fsum((ends[1::2] - ends[::2]).tolist())
+        ends = [x for piece in a.intervals for x in piece]
+        few = len(ends) <= _FEW_POINTS
+        ends = self._cumulative_few(ends) if few else self._cumulative(ends).tolist()
+        return math.fsum(map(operator.sub, ends[1::2], ends[::2]))
 
     def max_over(self, a: IntervalSet) -> float:
         """Supremum of the interpolant over ``a`` (0 for the empty set).
 
         For each piece this is the max of the samples at nodes inside it
         and the interpolated values at the two endpoints; piecewise-linear
-        functions attain extrema only there.
+        functions attain extrema only there.  The endpoints are read in
+        Python floats up to ``_FEW_POINTS`` of them, else in one array pass.
         """
         if a.is_empty:
             return 0.0
-        ends = np.ravel(a.intervals)
-        values = self._read(ends)[2].tolist()
+        ends = [x for piece in a.intervals for x in piece]
+        few = len(ends) <= _FEW_POINTS
+        values = self._read_few(ends)[2] if few else self._read(ends)[2].tolist()
         starts, stops = self._node_range(ends[::2], ends[1::2])
         best = 0.0
         for i0, i1, v_lo, v_hi in zip(starts.tolist(), stops.tolist(), values[::2], values[1::2]):
@@ -307,8 +344,14 @@ class GridFunction:
             best = max(best, v_lo, v_hi)
         return best
 
-    def scaled_by_max(self) -> "GridFunction":
+    @functools.cached_property
+    def _scaled_by_max(self) -> "GridFunction":
         top = float(self.samples.max())
         if top <= 0.0:
             raise ValueError("cannot rescale an identically zero function")
         return GridFunction(self.x_min, self.x_max, self.samples / top)
+
+    def scaled_by_max(self) -> "GridFunction":
+        """The function divided by its largest sample, built once and kept as
+        long as the function is."""
+        return self._scaled_by_max

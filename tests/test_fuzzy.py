@@ -25,6 +25,7 @@ from vagueq import (
     write_grid_csv,
     write_table_measure,
 )
+from vagueq.fuzzy import _FEW_POINTS
 
 from oracles import (
     cumulative_at_loop,
@@ -325,7 +326,10 @@ def test_grid_rejects_an_overflowing_integral_and_span():
 
 def _reading_cases(rng):
     """Seeded grids with points and interval sets to read them at: nodes,
-    domain ends, points and piece ends inside the 1e-12 span slack."""
+    domain ends, points and piece ends inside the 1e-12 span slack.  Besides
+    random spans, grids offset by 1e10, a few hundred ulps wide (where
+    linspace rounds the nodes) and with a subnormal spacing; events of 1 up to
+    twice the pieces read in Python floats, so both readings are met."""
     shapes = (
         lambda n: rng.random(n),
         lambda n: np.round(rng.random(n) * 3.0) / 3.0,  # plateaus
@@ -333,23 +337,41 @@ def _reading_cases(rng):
         lambda n: np.where(rng.random(n) < 0.4, 0.0, rng.random(n) * 1e300),
         lambda n: rng.random(n) * 1e-310,  # subnormal
     )
+    edges = (
+        (1e10, 1e10 + 7.0), (-1e10, -1e10 + 1e-3),
+        (1.0, 1.0 + 300 * math.ulp(1.0)), (1e10, 1e10 + 400 * math.ulp(1e10)),
+        (0.0, 1e-310), (-0.0, 1e-312),  # spacing 1e-312 and 2.5e-313
+    )
     for shape in shapes:
-        for n in (2, 3, 101, 20001):
-            lo = float(rng.choice([0.0, -0.0, -1.0, 1e-3, -123.456]))
-            hi = lo + float(rng.choice([1.0, 2.5, 1e-6, 1000.0]))
+        spans = [(float(rng.choice([0.0, -0.0, -1.0, 1e-3, -123.456])),
+                  float(rng.choice([1.0, 2.5, 1e-6, 1000.0])), n) for n in (2, 3, 101, 20001)]
+        spans = [(lo, lo + width, n) for lo, width, n in spans]
+        spans += [(lo, hi, n) for lo, hi in edges for n in (2, 101)]
+        for lo, hi, n in spans:
             f = GridFunction(lo, hi, shape(n))
             slack = 1e-12 * max(1.0, hi - lo)
             points = np.concatenate((
                 f.nodes[rng.integers(0, n, 6)],
-                lo + (hi - lo) * rng.random(12),
+                lo + (hi - lo) * rng.random(30),
                 [lo, hi, -0.0, lo - 0.5 * slack, hi + 0.5 * slack],
             ))
             points = [float(x) for x in points if lo - slack <= x <= hi + slack]
+            distinct = np.unique(points)
             events = [IntervalSet.empty(), IntervalSet.interval(lo - 0.5 * slack, hi + 0.5 * slack)]
-            for _ in range(12):
-                cuts = sorted(rng.choice(points, 2 * int(rng.integers(1, 4)), replace=True))
+            for pieces in range(1, _FEW_POINTS + 1):
+                cuts = sorted(rng.choice(points, 2 * pieces, replace=True))
                 events.append(IntervalSet.from_pairs(zip(cuts[::2], cuts[1::2])))
+                if 2 * pieces <= distinct.size:  # exactly that many pieces
+                    cuts = np.sort(rng.choice(distinct, 2 * pieces, replace=False)).tolist()
+                    events.append(IntervalSet.from_pairs(zip(cuts[::2], cuts[1::2])))
             yield f, points, events
+
+
+def _same_reading(few, array) -> bool:
+    """``_read_few``'s lists and ``_read``'s arrays hold the same bits."""
+    return (np.array(few[0], dtype=float).tobytes() == array[0].tobytes()
+            and few[1] == array[1].tolist()
+            and np.array(few[2], dtype=float).tobytes() == array[2].tobytes())
 
 
 def test_array_reading_matches_the_scalar_loop_bit_for_bit():
@@ -360,20 +382,55 @@ def test_array_reading_matches_the_scalar_loop_bit_for_bit():
         assert [repr(f.cumulative_at(x)) for x in points] == [repr(c) for c in cumulative]
         assert f._read(points)[2].tobytes() == np.array(values).tobytes()
         assert f._cumulative(points).tobytes() == np.array(cumulative).tobytes()
+        assert _same_reading(f._read_few(points), f._read(points))
         for a in events:
             assert repr(f.integral_over(a)) == repr(integral_over_loop(f, a)), a
             assert repr(f.max_over(a)) == repr(max_over_loop(f, a)), a
+            ends = np.ravel(a.intervals)
+            assert _same_reading(f._read_few(ends), f._read(ends)), a
+            few = np.array(f._cumulative_few(ends), dtype=float)
+            assert few.tobytes() == f._cumulative(ends).tobytes(), a
+
+
+def test_a_read_of_a_few_pieces_takes_no_array_pass(monkeypatch):
+    f = GridFunction(0.0, 1.0, np.random.default_rng(5).random(101))
+
+    def event(pieces: int) -> IntervalSet:
+        ends = np.linspace(0.013, 0.987, 2 * pieces).tolist()
+        return IntervalSet.from_pairs(zip(ends[::2], ends[1::2]))
+
+    def refuse(self, xs):
+        raise AssertionError(f"an array pass over {len(xs)} points")
+
+    monkeypatch.setattr(GridFunction, "_read", refuse)
+    f.value_at(0.5)
+    f.cumulative_at(0.5)
+    for pieces in range(1, _FEW_POINTS // 2 + 1):
+        f.integral_over(event(pieces))
+        f.max_over(event(pieces))
+    many = event(_FEW_POINTS // 2 + 1)
+    for read in (f.integral_over, f.max_over):
+        with pytest.raises(AssertionError, match=f"^an array pass over {_FEW_POINTS + 2} points$"):
+            read(many)
+
+
+def test_a_point_reads_as_the_array_reading_reads_it():
+    f = GridFunction(0.0, 2.0, [0.0, 1.0, 0.5])
+    # float32 arithmetic would read np.float32(0.1) as 0.1 in float32
+    assert f.value_at(np.float32(0.1)) == 0.10000000149011612
+    for x in (1, True, False, np.int64(2), np.float32(0.1), np.float64(0.7), "0.25", " 1.5 "):
+        for read, array in ((f.value_at, f._read(x)[2]), (f.cumulative_at, f._cumulative(x))):
+            got = read(x)
+            assert type(got) is float and repr(got) == repr(float(array)), (x, read)
 
 
 def test_array_reading_rejects_a_point_past_the_slack():
     f = GridFunction(0.0, 2.0, [0.0, 1.0, 0.0])
-    for x in (-1e-11, 2.0 + 1e-11, float("nan")):
-        with pytest.raises(ValueError, match=f"point {x} outside grid span"):
-            f.value_at(x)
-        with pytest.raises(ValueError, match=f"point {x} outside grid span"):
-            f.cumulative_at(x)
-        with pytest.raises(ValueError, match=f"point {x} outside grid span"):
-            f._read([1.0, x])
+    for x, shown in ((-1e-11, "-1e-11"), (2.0 + 1e-11, "2.00000000001"), (math.nan, "nan"),
+                     (math.inf, "inf"), (-math.inf, "-inf"), (3, "3.0"), ("-1", "-1.0")):
+        for read in (f.value_at, f.cumulative_at, lambda x: f._read([1.0, x])):
+            with pytest.raises(ValueError, match=rf"^point {shown} outside grid span \[0.0, 2.0\]$"):
+                read(x)
 
 
 # --- text formats ------------------------------------------------------------

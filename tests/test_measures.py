@@ -360,6 +360,7 @@ def test_normalize_to_possibility_reaches_exactly_one():
     density = standard_normal()
     pi = density.scaled_by_max()
     assert float(pi.samples.max()) == 1.0
+    assert density.scaled_by_max() is pi  # built once per density
     # shape preserved: ratios unchanged up to round-off
     k = 777
     expected = density.samples[k] / density.samples.max()
@@ -367,8 +368,10 @@ def test_normalize_to_possibility_reaches_exactly_one():
 
 
 def test_normalize_rejects_identically_zero():
-    with pytest.raises(ValueError, match="zero"):
-        GridFunction(0.0, 1.0, [0.0, 0.0]).scaled_by_max()
+    zero = GridFunction(0.0, 1.0, [0.0, 0.0])
+    for _ in range(2):  # on every call: a refusal is not kept
+        with pytest.raises(ValueError, match="^cannot rescale an identically zero function$"):
+            zero.scaled_by_max()
 
 
 # --- table text format ------------------------------------------------------------
