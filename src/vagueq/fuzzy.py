@@ -195,12 +195,13 @@ class GridFunction:
         raw = np.asarray(self.samples, dtype=float)
         if raw.ndim != 1 or raw.size < 2:
             raise ValueError("samples must be a 1-D array with at least 2 entries")
-        if not np.all(np.isfinite(raw)):
+        # min and max are NaN or +-inf exactly when some sample is
+        low, top = raw.min(), float(raw.max())
+        if not (math.isfinite(low) and math.isfinite(top)):
             raise ValueError("samples must all be finite")
-        if raw.min() < -GRADE_SLACK:
-            raise ValueError(f"samples must be non-negative, min is {raw.min()}")
+        if low < -GRADE_SLACK:
+            raise ValueError(f"samples must be non-negative, min is {low}")
         # a reading adds two samples (the trapezoid's y_k + y(x)): no overflow
-        top = float(raw.max())
         if not math.isfinite(2.0 * top):
             raise ValueError(f"samples exceed half the largest float: {top}")
         vals = np.maximum(raw, 0.0)
@@ -318,6 +319,8 @@ class GridFunction:
         Computed as differences of the cumulative trapezoid, so the sum
         over disjoint pieces telescopes and additivity holds to round-off.
         """
+        if a.is_empty:  # a sum of nothing builds no prefix
+            return 0.0
         ends = [x for piece in a.intervals for x in piece]
         few = len(ends) <= _FEW_POINTS
         ends = self._cumulative_few(ends) if few else self._cumulative(ends).tolist()

@@ -103,9 +103,11 @@ def grid_tolerance(f: GridFunction) -> float:
     Equals max(1e-6, 2 h sup|f'|), the scale of how much the function can
     move across one cell; results derived from cuts of f are trusted to
     this resolution and no further.  The spacing h cancels against the
-    slope's, so this is 2 max|f_(k+1) - f_k|, finite even on a subnormal step.
+    slope's, so this is 2 max|f_(k+1) - f_k|, finite even on a subnormal step:
+    the larger of the steepest rise and the steepest fall, with no abs pass.
     """
-    return max(1e-6, 2.0 * float(np.max(np.abs(np.diff(f.samples)))))
+    d = np.diff(f.samples)
+    return max(1e-6, 2.0 * float(max(d.max(), -d.min())))
 
 
 def sugeno_integral(f, a, m) -> float:

@@ -6,7 +6,7 @@ density by its supremum into a possibility distribution (height
 normalization: the most plausible location gets possibility 1, shape is
 preserved) and takes the sup over [a, b); the Sugeno integral of that
 distribution against its own possibility measure recovers the same
-number up to grid resolution, which makes the two readings directly
+number exactly, since min(pi, pi) = pi, which makes the two readings directly
 comparable on the same report.
 """
 
@@ -95,9 +95,14 @@ class GaussianWavefunction(WavefunctionSpec):
     def _density(self) -> GridFunction:
         lo, hi = map(float, self.domain)
         xs = _grid_nodes(lo, hi, self.grid_points)  # the GridFunction below shares them
+        # exp(-0.5 * z * z) / (sigma sqrt(2 pi)), z = (xs - mu) / sigma, in the
+        # same operations and order in one buffer; -0.5 * z is freed before exp
         with np.errstate(over="ignore"):  # far tails: z * z is inf, exp gives 0
-            z = (xs - self.mu) / self.sigma
-            ys = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+            ys = np.subtract(xs, self.mu)
+            ys /= self.sigma
+            ys *= np.multiply(ys, -0.5)  # z * (-0.5 * z): one product, either order
+            np.exp(ys, out=ys)
+            ys /= self.sigma * math.sqrt(2.0 * math.pi)
         return GridFunction(lo, hi, ys)
 
 
@@ -124,7 +129,12 @@ class BoxWavefunction(WavefunctionSpec):
 
     def _density(self) -> GridFunction:
         xs = _grid_nodes(0.0, self.length, self.grid_points)
-        ys = (2.0 / self.length) * np.sin(self.level * math.pi * xs / self.length) ** 2
+        # (2 / L) sin(n pi xs / L) ** 2 in the same operations and order, in one buffer
+        ys = np.multiply(self.level * math.pi, xs)
+        ys /= self.length
+        np.sin(ys, out=ys)
+        np.square(ys, out=ys)
+        ys *= 2.0 / self.length
         return GridFunction(0.0, self.length, ys)
 
 

@@ -280,10 +280,14 @@ class PossibilityMeasure(MeasureSpec):
         On each piece of ``a``, f and pi are linear between their merged nodes
         inside it, so min(f, pi) peaks at such a node, at a piece end, or where
         f = pi inside a cell.  ``a`` is checked against pi's span and f's
-        before anything else, so the error never depends on f.
+        before anything else, so the error never depends on f.  Against its
+        own measure pi integrates to Pi(a), since min(pi, pi) = pi: that is
+        one ``max_over`` of the same end reads and slice maxima, the same bits.
         """
         self._event(a)  # a finite distribution refuses interval events
         pi = self.distribution
+        if f is pi:
+            return pi.max_over(a)
         ends = np.ravel(a.intervals)
         p_ends, f_ends = pi._read(ends)[2], f._read(ends)[2]
         shared = f.nodes is pi.nodes

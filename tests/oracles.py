@@ -251,6 +251,22 @@ def alpha_cut_loop(f: GridFunction, alpha: float, strict: bool = False) -> Inter
     return IntervalSet.from_pairs(pieces)
 
 
+def gaussian_density_oracle(w) -> np.ndarray:
+    """A Gaussian spec's samples in one expression: the reference for the
+    library's in-place form, which must match it bit for bit."""
+    lo, hi = map(float, w.domain)
+    xs = np.linspace(lo, hi, w.grid_points)
+    with np.errstate(over="ignore"):  # far tails: z * z is inf, exp gives 0
+        z = (xs - w.mu) / w.sigma
+        return np.exp(-0.5 * z * z) / (w.sigma * math.sqrt(2.0 * math.pi))
+
+
+def box_density_oracle(w) -> np.ndarray:
+    """A box eigenstate spec's samples in one expression, (2/L) sin^2(n pi x / L)."""
+    xs = np.linspace(0.0, w.length, w.grid_points)
+    return (2.0 / w.length) * np.sin(w.level * math.pi * xs / w.length) ** 2
+
+
 def localization_sweep_loop(
     w: WavefunctionSpec, a: float, b: float, steps: int = 200
 ) -> list[tuple[float, float, float, float]]:

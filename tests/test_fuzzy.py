@@ -25,7 +25,7 @@ from vagueq import (
     write_grid_csv,
     write_table_measure,
 )
-from vagueq.fuzzy import _FEW_POINTS
+from vagueq.fuzzy import GRADE_SLACK, _FEW_POINTS
 
 from oracles import (
     cumulative_at_loop,
@@ -220,10 +220,28 @@ def test_grid_function_validation():
         GridFunction(1.0, 0.0, [0.0, 1.0])
     with pytest.raises(ValueError):
         GridFunction(0.0, 1.0, [0.5])
-    with pytest.raises(ValueError):
-        GridFunction(0.0, 1.0, [0.5, -0.5])
-    with pytest.raises(ValueError):
-        GridFunction(0.0, 1.0, [0.5, float("nan")])
+
+    def refusal(samples) -> str:
+        with pytest.raises(ValueError) as caught:
+            GridFunction(0.0, 1.0, samples)
+        return str(caught.value)
+
+    below = -2.0 * GRADE_SLACK
+    # a non-finite sample is named first, whatever else is wrong
+    for bad in (math.nan, math.inf, -math.inf):
+        for samples in ([0.5, bad], [bad, 0.5, below], [below, bad], [bad, -1e300, 1e300]):
+            assert refusal(samples) == "samples must all be finite", samples
+    assert refusal([math.nan, math.inf, -math.inf]) == "samples must all be finite"
+    assert refusal([0.5, below, 0.25]) == f"samples must be non-negative, min is {below}"
+    assert refusal([-1e308, 1e308]) == "samples must be non-negative, min is -1e+308"
+    assert refusal([1e308, 1.7e308]) == "samples exceed half the largest float: 1.7e+308"
+    # within the slack a negative sample is clamped; lists and float32 read as float64
+    assert GridFunction(0.0, 1.0, [-0.5 * GRADE_SLACK, 0.5]).samples.tolist() == [0.0, 0.5]
+    assert GridFunction(0.0, 1.0, [1, 0.25, 2]).samples.tolist() == [1.0, 0.25, 2.0]
+    f32 = GridFunction(0.0, 1.0, np.array([0.1, 0.7], dtype=np.float32)).samples
+    assert f32.dtype == np.float64 and f32.tolist() == [float(np.float32(0.1)), float(np.float32(0.7))]
+    assert refusal(np.array([0.1, -0.5], dtype=np.float32)) == "samples must be non-negative, min is -0.5"
+    assert refusal(np.array([0.1, np.nan], dtype=np.float32)) == "samples must all be finite"
 
 
 def test_grid_height_of_gaussian_samples_is_one():

@@ -655,13 +655,91 @@ def test_additive_grid_sugeno_at_a_plateau_and_where_f_is_zero_on_the_event(monk
 
 @pytest.mark.parametrize("route", ["possibilistic", "additive"])
 def test_grid_sugeno_event_past_the_measure_span_raises_whatever_f(route):
-    # pi lives on [-1, 1]; f on [-2, 2] is either narrow around 0 or flat
+    # pi lives on [-1, 1]; f on [-2, 2] is either narrow around 0 or flat, or
+    # f is pi itself; the event has one piece, or more than the few-point
+    # reader's 6
     pi = GridFunction(-1.0, 1.0, [0.0, 1.0, 0.0])
     m = getattr(MeasureSpec, route)(pi)
     xs = np.linspace(-2.0, 2.0, 401)
     narrow = GridFunction(-2.0, 2.0, np.exp(-(xs / 0.05) ** 2))
     flat = GridFunction(-2.0, 2.0, np.full(401, 0.8))
-    a = IntervalSet.interval(-2.0, 2.0)
-    for f in (narrow, flat):
-        with pytest.raises(ValueError, match=r"point -2.0 outside grid span \[-1.0, 1.0\]"):
-            sugeno_integral(f, a, m)
+    many = IntervalSet.from_pairs([(-2.0, -1.5)] + [(x, x + 0.05) for x in np.linspace(-0.9, 0.9, 8)])
+    for a in (IntervalSet.interval(-2.0, 2.0), many):
+        for f in (narrow, flat, pi):
+            with pytest.raises(ValueError, match=r"^point -2.0 outside grid span \[-1.0, 1.0\]$"):
+                sugeno_integral(f, a, m)
+
+
+def _events_of_up_to_ten_pieces(rng, pi):
+    # 0-10 pieces, across the few-point reader's 6: ends drawn uniformly, on
+    # nodes, and with the outer two inside the span slack
+    lo, hi = pi.x_min, pi.x_max
+    slack = 0.5e-12 * max(1.0, hi - lo)
+    events = [IntervalSet.empty(), pi.full_span()]
+    for pieces in range(1, 11):
+        for ends in (rng.uniform(lo, hi, 2 * pieces), rng.choice(pi.nodes, 2 * pieces, replace=False),
+                     np.concatenate(([lo - slack, hi + slack], rng.uniform(lo, hi, 2 * pieces - 2)))):
+            ends = np.sort(ends).tolist()
+            events.append(IntervalSet.from_pairs(zip(ends[::2], ends[1::2])))
+    return events
+
+
+def _possibility_distributions(rng):
+    xs = np.linspace(-3.0, 5.0, 801)
+    bump = np.exp(-(((xs - 0.7) / 0.4) ** 2))
+    noisy = rng.random(257)
+    noisy[rng.integers(257)] = 1.0
+    return [
+        normal_density(n=2001).scaled_by_max(),
+        GridFunction(-3.0, 5.0, bump / bump.max()),
+        GridFunction(1e10, 1e10 + 3.0, noisy),
+        GridFunction(0.0, 1.0, np.where(np.arange(64) % 9 < 4, 0.0, 1.0)),
+    ]
+
+
+def test_pi_against_its_own_measure_is_the_sup_min_route_bit_for_bit():
+    # f is pi itself: Pi(a), one max_over; a distinct copy of pi's samples
+    # takes the sup-min route, and the two must agree to the bit
+    rng = np.random.default_rng(2121)
+    for pi in _possibility_distributions(rng):
+        m = MeasureSpec.possibilistic(pi)
+        copy = GridFunction(pi.x_min, pi.x_max, pi.samples)
+        assert m.distribution is pi and copy is not pi
+        for a in _events_of_up_to_ten_pieces(rng, pi):
+            got, want = sugeno_integral(pi, a, m), sugeno_integral(copy, a, m)
+            assert repr(got) == repr(want) and got == measure_of(m, a), (pi.x_min, a)
+
+
+def test_a_clamped_distribution_takes_the_sup_min_route(monkeypatch):
+    # a sup within 1e-9 above 1 is clamped into a new distribution, so the
+    # original f is not pi and is read by the general route
+    rng = np.random.default_rng(2122)
+    samples = rng.random(300)
+    samples[rng.integers(300)] = 1.0 + 5e-10
+    f = GridFunction(0.0, 3.0, samples)
+    m = MeasureSpec.possibilistic(f)
+    assert m.distribution is not f and float(m.distribution.samples.max()) == 1.0
+    events = _events_of_up_to_ten_pieces(rng, f)
+    # min(f, min(f, 1)) is the clamped pi: both routes read Pi(a)
+    want = [sugeno_integral(m.distribution, a, m) for a in events]
+    reads = []
+    read = GridFunction._read
+    monkeypatch.setattr(GridFunction, "_read", lambda self, xs: reads.append(xs) or read(self, xs))
+    for a, w in zip(events, want):
+        reads.clear()
+        assert repr(sugeno_integral(f, a, m)) == repr(w) == repr(measure_of(m, a)), a
+        assert len(reads) >= 2, a  # the sup-min route's end reads of pi and f
+
+
+def test_pi_against_its_own_measure_makes_no_array_read(monkeypatch):
+    rng = np.random.default_rng(2123)
+    pi = normal_density(n=2001).scaled_by_max()
+    m = MeasureSpec.possibilistic(pi)
+    events = [a for a in _events_of_up_to_ten_pieces(rng, pi) if len(a.intervals) <= 6]
+
+    def refuse(self, xs):
+        raise AssertionError("an array read")
+
+    monkeypatch.setattr(GridFunction, "_read", refuse)
+    for a in events:
+        assert sugeno_integral(pi, a, m) == measure_of(m, a)

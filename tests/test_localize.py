@@ -21,7 +21,7 @@ from vagueq.integrals import grid_tolerance
 from vagueq.localize import MAX_GRID_POINTS, MAX_SWEEP_STEPS, _density_on_window
 from vagueq.measures import measure_of
 
-from oracles import localization_sweep_loop
+from oracles import box_density_oracle, gaussian_density_oracle, localization_sweep_loop
 
 PEAK_STANDARD_NORMAL = 0.3989422804014327  # 1 / sqrt(2 pi)
 MASS_MINUS1_TO_1 = 0.6826894921370859  # erf(1 / sqrt(2))
@@ -75,6 +75,29 @@ def test_box_densities_are_normalized():
         density = realize_density(WavefunctionSpec.box_eigenstate(level, length))
         norm = density.integral_over(density.full_span())
         assert abs(norm - 1.0) <= 1e-6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_densities_match_their_one_expression_forms_bit_for_bit():
+    rng = np.random.default_rng(21)
+    gaussians = [
+        WavefunctionSpec.gaussian(float(rng.normal() * 10.0), float(10.0 ** rng.uniform(-3, 2)),
+                                  grid_points=int(rng.integers(101, 30000)))
+        for _ in range(20)
+    ]
+    # explicit domains, the wide ones so far out that z * z overflows in the
+    # tails; mu on a node, so the peak is sampled
+    for domain in ((-3.0, 5.0), (-1e160, 1e160), (-1e200, 3e200)):
+        mu = float(np.linspace(*domain, 30001)[7499])
+        gaussians.append(WavefunctionSpec.gaussian(mu, 1e-3, domain=domain, grid_points=30001))
+    for w in gaussians:
+        got = realize_density(w).samples
+        assert got.tobytes() == gaussian_density_oracle(w).tobytes(), w
+        assert got.max() > 0.0, w
+    for level in range(1, 51):
+        w = WavefunctionSpec.box_eigenstate(level, float(10.0 ** rng.uniform(-3, 3)),
+                                            grid_points=int(rng.integers(101, 5000)))
+        assert realize_density(w).samples.tobytes() == box_density_oracle(w).tobytes(), w
 
 
 def test_samples_pass_through_untouched():
@@ -348,6 +371,8 @@ def test_possibility_reads_build_no_prefix():
     measure_of(poss, window)
     sugeno_integral(pi, window, poss)
     grid_tolerance(pi)
+    # a sum of nothing is +0.0, read before any prefix
+    assert repr(pi.integral_over(IntervalSet.empty())) == "0.0"
     assert "_prefix" not in vars(pi) and "_prefix" not in vars(density)
     density.integral_over(window)
     assert "_prefix" in vars(density)
