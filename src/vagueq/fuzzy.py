@@ -23,6 +23,9 @@ GRADE_SLACK = 1e-12
 # up to this many points a grid is read in Python floats; past about 12-16,
 # one array pass is the cheaper reading
 _FEW_POINTS = 12
+# cells per block of a whole-grid pass: each 64 KiB block buffer stays in cache
+# and under glibc's 128 KiB mmap threshold, so it is not mapped anew per call
+_BLOCK = 8192
 
 
 def as_grade(value: float) -> float:
@@ -226,25 +229,48 @@ class GridFunction:
         Compensated (Neumaier) summation: a plain cumsum drifts by ~n ulps
         and visibly misses round totals, so each step's rounding error,
         exact by Knuth's TwoSum, is summed alongside and added back.  The
-        pass writes into three arrays; the leading 0.0 is summed like any
-        cell, so a -0.0 cell comes out as the sequential loop's +0.0.
+        pass runs over blocks of ``_BLOCK`` cells, carrying both sums across,
+        so it keeps the sequential loop's order with no grid-sized temporary.
+        The leading 0.0 is summed like any cell, so a -0.0 cell comes out as
+        the sequential loop's +0.0.
         """
-        vals = self.samples
-        cells = np.add(vals[:-1], vals[1:])
+        vals, half = self.samples, self.spacing * 0.5
         prefix = np.empty(vals.size)
+        # c starts at -0.0, and x + -0.0 is x: the first block's compensation
+        # chain starts from its first error, as one np.cumsum's does
+        prefix[0], s, c = 0.0, 0.0, -0.0
+        size = min(_BLOCK, vals.size - 1)
+        cell_buf, back_buf, sums_buf = np.empty(size), np.empty(size), np.empty(size + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # checked at construction
-            cells *= self.spacing * 0.5
-            prefix[0] = 0.0
-            prefix[1:] = cells
-            np.cumsum(prefix, out=prefix)
-            back = np.subtract(prefix[1:], prefix[:-1])
-            cells -= back  # the cell's part lost in back
-            np.subtract(prefix[1:], back, out=back)
-            np.subtract(prefix[:-1], back, out=back)  # the sum's part lost
-            back += cells
-            prefix[1:] += np.cumsum(back, out=back)
+            for i in range(0, vals.size - 1, _BLOCK):
+                m = min(_BLOCK, vals.size - 1 - i)
+                cells, back, sums = cell_buf[:m], back_buf[:m], sums_buf[: m + 1]
+                np.add(vals[i : i + m], vals[i + 1 : i + m + 1], out=cells)
+                cells *= half
+                sums[0], sums[1:] = s, cells  # from the plain sum so far
+                np.cumsum(sums, out=sums)
+                np.subtract(sums[1:], sums[:-1], out=back)
+                cells -= back  # the cell's part lost in back
+                np.subtract(sums[1:], back, out=back)
+                np.subtract(sums[:-1], back, out=back)  # the sum's part lost
+                back += cells
+                back[0] += c
+                np.cumsum(back, out=back)
+                s, c = sums[m], back[m - 1]
+                np.add(sums[1:], back, out=prefix[i + 1 : i + m + 1])
         prefix.setflags(write=False)
         return prefix
+
+    def _steepest_step(self) -> float:
+        """max |f_(k+1) - f_k|, the larger of the steepest rise and the steepest
+        fall, taken block by block over one reused block of steps; max is exact,
+        so the blocks change no bit."""
+        lo, hi = self.samples[:-1], self.samples[1:]
+        steep, buf = 0.0, np.empty(min(_BLOCK, lo.size))
+        for i in range(0, lo.size, _BLOCK):
+            d = np.subtract(hi[i : i + _BLOCK], lo[i : i + _BLOCK], out=buf[: lo.size - i])
+            steep = max(steep, float(d.max()), -float(d.min()))
+        return steep
 
     def full_span(self) -> IntervalSet:
         return IntervalSet.interval(self.x_min, self.x_max)

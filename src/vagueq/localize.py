@@ -95,12 +95,13 @@ class GaussianWavefunction(WavefunctionSpec):
     def _density(self) -> GridFunction:
         lo, hi = map(float, self.domain)
         xs = _grid_nodes(lo, hi, self.grid_points)  # the GridFunction below shares them
-        # exp(-0.5 * z * z) / (sigma sqrt(2 pi)), z = (xs - mu) / sigma, in the
-        # same operations and order in one buffer; -0.5 * z is freed before exp
+        # exp(-0.5 * z * z) / (sigma sqrt(2 pi)), z = (xs - mu) / sigma, in one buffer;
+        # z * z * -0.5 and -0.5 * z * z differ only where exp maps both to 0 or 1
         with np.errstate(over="ignore"):  # far tails: z * z is inf, exp gives 0
             ys = np.subtract(xs, self.mu)
             ys /= self.sigma
-            ys *= np.multiply(ys, -0.5)  # z * (-0.5 * z): one product, either order
+            np.square(ys, out=ys)
+            ys *= -0.5
             np.exp(ys, out=ys)
             ys /= self.sigma * math.sqrt(2.0 * math.pi)
         return GridFunction(lo, hi, ys)
@@ -228,8 +229,9 @@ def localization_sweep(
     """Rows (a, x, probability, possibility) for x sweeping from a to b.
 
     The density and its possibility rescaling are realized once and every
-    window [a, x) is measured against them in one array pass, which is
-    what a plot of additive vs possibilistic localization wants.
+    window [a, x) is measured against them in passes over the window ends
+    and one over the nodes between consecutive ends, with no copy of pi,
+    which is what a plot of additive vs possibilistic localization wants.
     """
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"steps must be in 1..{MAX_SWEEP_STEPS}, got {steps}")
@@ -242,8 +244,11 @@ def localization_sweep(
     # as max_over reads pi over [a, x): pi(a), pi at the nodes inside, pi(x)
     values = pi._read(ends)[2]
     first, stops = pi._node_range(a, xs)
-    running = np.maximum.accumulate(np.append(values[0], pi.samples[first:]))
-    sup = np.maximum(running[stops - first], values[1:])
+    starts = np.append(first, stops[:-1])  # window k adds the nodes starts[k]:stops[k]
+    runs, sup = starts < stops, np.full(steps, values[0])
+    # each non-empty run ends where the next one starts, the last at stops[-1]
+    sup[runs] = np.maximum(np.maximum.reduceat(pi.samples[: stops[-1]], starts[runs]), values[0])
+    sup = np.maximum(np.maximum.accumulate(sup), values[1:])
     probability = (cumulative[1:] - cumulative[0]).tolist()
     possibility = np.where(sup > 0.0, sup, 0.0).tolist()  # a zero as +0.0, as max_over
     return list(zip([a] * steps, xs.tolist(), probability, possibility))

@@ -267,6 +267,32 @@ def box_density_oracle(w) -> np.ndarray:
     return (2.0 / w.length) * np.sin(w.level * math.pi * xs / w.length) ** 2
 
 
+def grid_tolerance_oracle(f: GridFunction) -> float:
+    """``grid_tolerance`` over one whole-grid diff: the reference for the
+    blocked pass, which must match it bit for bit."""
+    d = np.diff(f.samples)
+    return max(1e-6, 2.0 * float(max(d.max(), -d.min())))
+
+
+def localization_sweep_accumulate(
+    w: WavefunctionSpec, a: float, b: float, steps: int = 200
+) -> list[tuple[float, float, float, float]]:
+    """``localization_sweep`` with its running sup over a copy of pi from the
+    window start, ``np.maximum.accumulate`` over ``np.append``: the reference
+    for the per-run reduction, which must match it bit for bit."""
+    a, b, density, pi, _ = _density_on_window(w, a, b)
+    xs = np.linspace(a, b, steps + 1)[1:]
+    ends = np.append(a, xs)
+    cumulative = density._cumulative(ends)
+    values = pi._read(ends)[2]
+    first, stops = pi._node_range(a, xs)
+    running = np.maximum.accumulate(np.append(values[0], pi.samples[first:]))
+    sup = np.maximum(running[stops - first], values[1:])
+    probability = (cumulative[1:] - cumulative[0]).tolist()
+    possibility = np.where(sup > 0.0, sup, 0.0).tolist()
+    return list(zip([a] * steps, xs.tolist(), probability, possibility))
+
+
 def localization_sweep_loop(
     w: WavefunctionSpec, a: float, b: float, steps: int = 200
 ) -> list[tuple[float, float, float, float]]:

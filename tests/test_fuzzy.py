@@ -25,7 +25,7 @@ from vagueq import (
     write_grid_csv,
     write_table_measure,
 )
-from vagueq.fuzzy import GRADE_SLACK, _FEW_POINTS
+from vagueq.fuzzy import _BLOCK, GRADE_SLACK, _FEW_POINTS
 
 from oracles import (
     cumulative_at_loop,
@@ -36,6 +36,8 @@ from oracles import (
 )
 
 grades = st.floats(0.0, 1.0, allow_nan=False)
+# cell counts at the seams of the blocked prefix pass
+SEAM_CELLS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 1)
 
 
 def fs(*values, labels=None):
@@ -287,10 +289,23 @@ def test_prefix_is_bit_identical_to_the_sequential_neumaier_loop():
         lambda n: np.concatenate((np.full(n // 2, -0.0), rng.random(n - n // 2))),
         lambda n: np.concatenate((rng.random(n // 2), np.full(n - n // 2, -0.0))),
     )
-    cases = [(shape(n), n) for shape in shapes for n in (2, 3, 101, 5000)]
+    sizes = (2, 3, 101, 5000, *(cells + 1 for cells in SEAM_CELLS))
+    cases = [(shape(n), n) for shape in shapes for n in sizes]
     cases += [(np.array(pair), 2) for pair in
               ([-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [0.0, 0.0], [-0.0, 1.0], [1.0, -0.0])]
     cases.append((rng.random(300_000), 300_000))
+    # a zero run and a single spike across each seam: cell seam - 1 ends one
+    # block, cell seam starts the next, and sample seam lies in both
+    n = 3 * _BLOCK + 100
+    for seam in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK):
+        zeros = rng.random(n)
+        zeros[seam - 40 : seam + 40] = np.where(np.arange(80) % 3, 0.0, -0.0)
+        spike = rng.random(n) * 1e-6
+        spike[seam] = 1e6
+        cases += [(zeros, n), (spike, n)]
+    lead = rng.random(n)
+    lead[: _BLOCK + 40] = -0.0  # the plain sum is still +0.0 at the first seam
+    cases.append((lead, n))
     for samples, n in cases:
         lo = float(rng.normal() * 10.0 ** rng.uniform(-3, 3))
         hi = lo + float(10.0 ** rng.uniform(-3, 3))
@@ -310,18 +325,21 @@ def test_prefix_is_bit_identical_to_the_sequential_neumaier_loop():
     top_mant=st.floats(1.0, 2.0, exclude_max=True),
     shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
     centered=st.booleans(),
+    cells=st.sampled_from((None, *SEAM_CELLS)),
 )
 def test_overflow_refusal_matches_the_sequential_prefix(
-    span_exp, total_exp, span_mant, top_mant, shares, centered
+    span_exp, total_exp, span_mant, top_mant, shares, centered, cells
 ):
     # span * max straddles the 2**1000 bound below which the prefix is built
-    # lazily, up to the largest float; samples at most half the largest float
+    # lazily, up to the largest float; samples at most half the largest float.
+    # With a cell count, the shares repeat over that many cells.
     top_exp = min(total_exp - span_exp, 1022)
     span = math.ldexp(span_mant, span_exp)
     top = math.ldexp(top_mant, top_exp)
     lo = -span / 2.0 if centered else 0.0
     hi = lo + span
-    samples = np.array(shares + [1.0]) * top
+    shares = shares + [1.0]
+    samples = np.resize(shares, len(shares) if cells is None else cells + 1) * top
     with np.errstate(over="ignore", invalid="ignore"):
         want = neumaier_prefix_oracle(lo, hi, samples)
     if math.isfinite(want[-1]):

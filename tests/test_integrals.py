@@ -19,7 +19,14 @@ from vagueq import (
 )
 from vagueq import integrals
 
-from oracles import alpha_cut_loop, sugeno_bruteforce_oracle, sugeno_grid_bisection_oracle
+from vagueq.fuzzy import _BLOCK
+
+from oracles import (
+    alpha_cut_loop,
+    grid_tolerance_oracle,
+    sugeno_bruteforce_oracle,
+    sugeno_grid_bisection_oracle,
+)
 
 
 def triangle() -> GridFunction:
@@ -199,6 +206,29 @@ def test_grid_tolerance_tracks_slope_and_spacing():
     assert grid_tolerance(GridFunction(0.0, 5e-324, [0.0, 1.0])) == 2.0
     dense = normal_density()
     assert 1e-6 < grid_tolerance(dense) < 2e-3
+
+
+def test_grid_tolerance_in_blocks_equals_one_whole_grid_diff():
+    rng = np.random.default_rng(2023)
+    n = 3 * _BLOCK + 100
+    grids = [triangle(), GridFunction(0.0, 1.0, [0.3, 0.3]), GridFunction(0.0, 5e-324, [0.0, 1.0]),
+             GridFunction(0.0, 1.0, [1.0, 0.25]), GridFunction(0.0, 1.0, np.full(n, 0.7)),
+             GridFunction(0.0, 1.0, [5e-324, 0.0, 1e-323]), normal_density(n=n)]
+    # one steep step, rising or falling, in the last cell of a block or the
+    # first cell of the next
+    steps = [(cell, rise) for seam in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK)
+             for cell in (seam - 1, seam) for rise in (True, False)]
+    for cell, rise in steps:
+        ys = rng.random(n) * 0.1
+        ys[cell + 1 :] += 0.8 if rise else 0.0
+        ys[: cell + 1] += 0.0 if rise else 0.8
+        grids.append(GridFunction(0.0, 1.0, ys))
+    for f in grids:
+        assert repr(grid_tolerance(f)) == repr(grid_tolerance_oracle(f))
+    for (cell, rise), f in zip(steps, grids[-len(steps):]):
+        d = np.diff(f.samples)
+        assert np.argmax(np.abs(d)) == cell and (d[cell] > 0.0) == rise
+        assert grid_tolerance(f) == 2.0 * abs(float(d[cell]))
 
 
 # --- Sugeno integral, finite --------------------------------------------------

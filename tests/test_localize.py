@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,12 @@ from vagueq.integrals import grid_tolerance
 from vagueq.localize import MAX_GRID_POINTS, MAX_SWEEP_STEPS, _density_on_window
 from vagueq.measures import measure_of
 
-from oracles import box_density_oracle, gaussian_density_oracle, localization_sweep_loop
+from oracles import (
+    box_density_oracle,
+    gaussian_density_oracle,
+    localization_sweep_accumulate,
+    localization_sweep_loop,
+)
 
 PEAK_STANDARD_NORMAL = 0.3989422804014327  # 1 / sqrt(2 pi)
 MASS_MINUS1_TO_1 = 0.6826894921370859  # erf(1 / sqrt(2))
@@ -90,6 +96,9 @@ def test_densities_match_their_one_expression_forms_bit_for_bit():
     for domain in ((-3.0, 5.0), (-1e160, 1e160), (-1e200, 3e200)):
         mu = float(np.linspace(*domain, 30001)[7499])
         gaussians.append(WavefunctionSpec.gaussian(mu, 1e-3, domain=domain, grid_points=30001))
+    # a node 0.0 next to a tiny mu: z * z is subnormal or rounds to zero
+    for mu in (1e-160, 3e-162, -7e-155, 1e-170):
+        gaussians.append(WavefunctionSpec.gaussian(mu, 1.0, domain=(-1.0, 1.0), grid_points=101))
     for w in gaussians:
         got = realize_density(w).samples
         assert got.tobytes() == gaussian_density_oracle(w).tobytes(), w
@@ -320,6 +329,22 @@ def test_sweep_rows_equal_the_per_window_loop():
             assert localization_sweep(w, a, b, steps) == localization_sweep_loop(w, a, b, steps)
 
 
+def test_sweep_rows_equal_the_running_sup_over_a_copy_of_pi():
+    cases = list(_sweep_cases())
+    # nodes at multiples of 0.25: ends on every node, on every other node
+    # (more steps than nodes inside, so empty runs), and a window inside one
+    # cell; falling, and rising so that the nodes past b top those before it
+    quarter = WavefunctionSpec.from_samples(GridFunction(0.0, 8.0, np.linspace(1.0, 0.0, 33) ** 2))
+    rising = WavefunctionSpec.from_samples(GridFunction(0.0, 8.0, np.linspace(0.0, 1.0, 33) ** 2))
+    for w in (quarter, rising):
+        cases += [(w, 0.0, 8.0), (w, 1.0, 3.0), (w, 1.1, 1.2)]
+    for w, a, b in cases:
+        for steps in (1, 2, 7, 32, 64, 777, 5000):
+            assert localization_sweep(w, a, b, steps) == localization_sweep_accumulate(w, a, b, steps)
+    xs = [row[1] for row in localization_sweep(quarter, 0.0, 8.0, 64)]
+    assert set(xs[1::2]) == set(np.linspace(0.25, 8.0, 32).tolist())
+
+
 def test_sweep_at_the_step_cap_equals_the_per_window_reads():
     # the whole loop at the cap takes seconds; every 97th window and the
     # last ones are measured one by one as the loop measures them
@@ -361,6 +386,48 @@ def test_sweep_makes_no_per_window_query(monkeypatch):
     calls.clear()
     localization_sweep(w, -1.0, 1.0, steps=500)
     assert dict(calls) == few
+
+
+# --- pi -------------------------------------------------------------------------
+
+def test_pi_is_the_checked_quotient_byte_for_byte():
+    rng = np.random.default_rng(2023)
+    zeros = rng.random(501)
+    zeros[rng.random(501) < 0.3] = -0.0
+    zeros[::7] = 0.0
+    densities = [
+        realize_density(WavefunctionSpec.gaussian(0.3, 0.7, grid_points=2001)),
+        realize_density(WavefunctionSpec.gaussian(0.0, 1.0, domain=(-40.0, 40.0), grid_points=3001)),
+        realize_density(WavefunctionSpec.box_eigenstate(3, 2.0, grid_points=1001)),
+        GridFunction(-1.0, 2.0, zeros),
+        GridFunction(0.0, 1.0, rng.random(301) * 1e-310),  # a subnormal top
+        GridFunction(0.0, 1.0, [0.0, 5e-324, -0.0]),
+    ]
+    for density in densities:
+        pi = density.scaled_by_max()
+        want = GridFunction(density.x_min, density.x_max, density.samples / density.samples.max())
+        assert pi.samples.tobytes() == want.samples.tobytes()
+        assert repr((pi.x_min, pi.x_max, pi.spacing)) == repr((want.x_min, want.x_max, want.spacing))
+        assert pi.nodes is density.nodes and not pi.samples.flags.writeable
+        assert pi._prefix.tobytes() == want._prefix.tobytes()
+    with pytest.raises(ValueError, match="^cannot rescale an identically zero function$"):
+        GridFunction(0.0, 1.0, [-0.0, 0.0, -0.0]).scaled_by_max()
+
+
+def test_pi_keeps_the_overflow_refusal():
+    # on a span of the largest float, pi's integral rounds past it at 12
+    # nodes and not at 11, while the density's is far below
+    span = sys.float_info.max
+    for n, overflows in ((11, False), (12, True)):
+        density = GridFunction(0.0, span, np.full(n, 2.0**-60))
+        top = float(density.samples.max())
+        if overflows:
+            for build in (density.scaled_by_max, lambda: GridFunction(0.0, span, density.samples / top)):
+                with pytest.raises(ValueError, match="^the integral of the samples overflows$"):
+                    build()
+        else:
+            want = GridFunction(0.0, span, density.samples / top)
+            assert density.scaled_by_max()._prefix.tobytes() == want._prefix.tobytes()
 
 
 def test_possibility_reads_build_no_prefix():
