@@ -164,7 +164,9 @@ def _grid_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     key = (lo.hex(), hi.hex(), n)
     nodes = _NODES.get(key)
     if nodes is None:
-        nodes = np.linspace(lo, hi, n)
+        # only the last node's k * step can overflow, and linspace sets it to hi
+        with np.errstate(over="ignore"):
+            nodes = np.linspace(lo, hi, n)
         if not np.all(nodes[1:] > nodes[:-1]):
             raise ValueError(f"{n} nodes are not strictly increasing floats in [{lo}, {hi}]")
         nodes.setflags(write=False)

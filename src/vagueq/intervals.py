@@ -36,10 +36,6 @@ class IntervalSet:
             prev_hi = hi
 
     @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    @classmethod
     def interval(cls, lo: float, hi: float) -> "IntervalSet":
         """The single interval [lo, hi)."""
         return cls(((lo, hi),))
@@ -48,12 +44,17 @@ class IntervalSet:
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "IntervalSet":
         """Canonical union of arbitrary (lo, hi) pieces.
 
-        Pieces with lo >= hi contribute nothing.  Overlapping or touching
-        pieces are merged, so [0,1) with [1,2) becomes [0,2).
+        Pieces with lo >= hi contribute nothing and a NaN end is refused;
+        overlapping or touching pieces merge, so [0,1) with [1,2) is [0,2).
         """
-        ordered = sorted(
-            (float(lo), float(hi)) for lo, hi in pairs if float(lo) < float(hi)
-        )
+        ordered = []
+        for lo, hi in pairs:
+            lo, hi = float(lo), float(hi)
+            if lo < hi:
+                ordered.append((lo, hi))
+            elif not lo >= hi:  # a NaN end compares false both ways
+                raise ValueError(f"interval bounds must be finite, got [{lo}, {hi})")
+        ordered.sort()
         merged: list[list[float]] = []
         for lo, hi in ordered:
             if merged and lo <= merged[-1][1]:
@@ -73,15 +74,6 @@ class IntervalSet:
             return None
         return (self.intervals[0][0], self.intervals[-1][1])
 
-    def total_length(self) -> float:
-        return math.fsum(hi - lo for lo, hi in self.intervals)
-
-    def contains_point(self, x: float) -> bool:
-        return any(lo <= x < hi for lo, hi in self.intervals)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_pairs(self.intervals + other.intervals)
-
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         out: list[tuple[float, float]] = []
         a, b = self.intervals, other.intervals
@@ -97,13 +89,6 @@ class IntervalSet:
                 j += 1
         return IntervalSet(tuple(out))
 
-    def issubset(self, other: "IntervalSet") -> bool:
-        # canonical forms are unique, so A is inside B exactly when A u B is B
-        return self.union(other) == IntervalSet.from_pairs(other.intervals)
-
 
 def union_all(parts: Iterable[IntervalSet]) -> IntervalSet:
-    pieces: list[tuple[float, float]] = []
-    for p in parts:
-        pieces.extend(p.intervals)
-    return IntervalSet.from_pairs(pieces)
+    return IntervalSet.from_pairs(piece for p in parts for piece in p.intervals)

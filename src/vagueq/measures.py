@@ -11,6 +11,7 @@ behaviour, its Sugeno route included; ``measure_of`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -63,6 +64,11 @@ class MeasureSpec:
     ) -> "TableMeasure":
         return TableMeasure(universe, table)
 
+    @functools.cached_property
+    def _labels(self) -> frozenset:
+        """The labels of a finite ``universe``, as one set built on first use."""
+        return frozenset(self.universe)
+
     def _event(self, a) -> IntervalSet | frozenset:
         """``a`` on this domain: an IntervalSet on a grid, else its labels as a
         frozenset, all drawn from ``universe`` (None is all of it)."""
@@ -71,11 +77,11 @@ class MeasureSpec:
                 raise ValueError("measure domain mismatch: label subsets need a finite measure")
             return a
         if a is None:
-            return frozenset(self.universe)
+            return self._labels
         if isinstance(a, IntervalSet):
             raise ValueError("measure domain mismatch: interval sets need a grid measure")
         subset = frozenset(str(x) for x in a)
-        foreign = subset - frozenset(self.universe)
+        foreign = subset - self._labels
         if foreign:
             raise ValueError(f"subset contains labels outside the domain: {sorted(foreign)}")
         return subset
@@ -88,7 +94,7 @@ class MeasureSpec:
             raise ValueError(
                 "finite Sugeno integration needs a finite (possibilistic or table) measure"
             )
-        if set(self.universe) != set(f.universe):
+        if self._labels != set(f.universe):
             raise ValueError("domain mismatch: f and the measure use different universes")
         subset = self._event(a)
         idx = np.array([k for k, l in enumerate(f.universe) if l in subset], dtype=int)
@@ -408,15 +414,7 @@ class TableMeasure(MeasureSpec):
 
     def _measure(self, a) -> float:
         """One read of ``values``, at the event's bitmask."""
-        if a is None or isinstance(a, IntervalSet):
-            self._event(a)  # None is the whole universe; an interval set is refused
-            return float(self.values[-1])
-        labels = [str(x) for x in a]
-        try:
-            return float(self.values[sum({self._bits[label] for label in labels})])
-        except KeyError:
-            self._event(labels)  # refuses, naming every foreign label
-            raise
+        return float(self.values[sum(self._bits[label] for label in self._event(a))])
 
     def _top_sets(self, f: FiniteFuzzySet, order: np.ndarray) -> np.ndarray:
         """The top-sets' bitmasks are a running OR of their labels' bits."""

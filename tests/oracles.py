@@ -15,6 +15,7 @@ from vagueq import (
     alpha_cut,
     ket0,
     measure_of,
+    union_all,
 )
 from vagueq.localize import MAX_SWEEP_STEPS, WavefunctionSpec, _density_on_window
 
@@ -315,6 +316,22 @@ def localization_sweep_loop(
             )
         )
     return rows
+
+
+def total_length(s: IntervalSet) -> float:
+    """The summed length of an interval set's pieces."""
+    return math.fsum(hi - lo for lo, hi in s.intervals)
+
+
+def contains_point(s: IntervalSet, x: float) -> bool:
+    """Is x in one of the half-open pieces [lo, hi)?"""
+    return any(lo <= x < hi for lo, hi in s.intervals)
+
+
+def issubset(a: IntervalSet, b: IntervalSet) -> bool:
+    """Is a inside b?  Canonical forms are unique, so a is inside b exactly
+    when a u b is b."""
+    return union_all([a, b]) == IntervalSet.from_pairs(b.intervals)
 
 
 def random_qubit_state(rng: np.random.Generator) -> QubitState:

@@ -40,10 +40,11 @@ from vagueq import (
     realize_density,
     sugeno_integral,
     tensor_product,
+    union_all,
     zeros_then_ones_language,
 )
 
-from oracles import random_qubit_state, sugeno_bruteforce_oracle
+from oracles import random_qubit_state, sugeno_bruteforce_oracle, total_length
 
 ERF_ONE_SIGMA = 0.6826894921370859  # erf(1 / sqrt(2))
 
@@ -172,7 +173,7 @@ def test_accept_05_measure_axioms():
         b = np.sort(rng.uniform(-8.0, 8.0, size=4))
         left = IntervalSet.interval(b[0], b[2])
         right = IntervalSet.interval(b[1], b[3])
-        whole = measure_of(poss, left.union(right))
+        whole = measure_of(poss, union_all([left, right]))
         parts_max = max(measure_of(poss, left), measure_of(poss, right))
         assert whole == parts_max, f"maxitivity broke: {whole} vs {parts_max}"
 
@@ -184,7 +185,7 @@ def test_accept_05_measure_axioms():
             IntervalSet.interval(cuts[0], cuts[1]),
             IntervalSet.interval(cuts[1], 4.0),
         ]
-        if any(p.total_length() == 0.0 for p in parts):
+        if any(total_length(p) == 0.0 for p in parts):
             continue
         whole = measure_of(add, IntervalSet.interval(-4.0, 4.0))
         split = math.fsum(measure_of(add, p) for p in parts)

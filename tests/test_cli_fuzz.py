@@ -332,6 +332,10 @@ def test_known_overflows_end_in_one_error_line(files):
          "--interval", "0,5e-324", "--grid", "101"],
         ["localize", "--wavefunction", "gaussian:mu=1e10,sigma=1e-4",
          "--interval", "9999999999.9995,10000000000.0005"],
+        # a span of the largest float: the nodes are finite, the density is 0
+        ["localize", "--wavefunction", "gaussian:mu=0,sigma=1",
+         "--domain=-8.988465674311579e+307,8.988465674311579e+307",
+         "--interval", "-1,1", "--grid", "107"],
     ):
         code, out, err, caught = run(argv)
         assert code == 1 and out == "" and not caught, argv

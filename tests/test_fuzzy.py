@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -244,6 +245,11 @@ def test_grid_function_validation():
     assert f32.dtype == np.float64 and f32.tolist() == [float(np.float32(0.1)), float(np.float32(0.7))]
     assert refusal(np.array([0.1, -0.5], dtype=np.float32)) == "samples must be non-negative, min is -0.5"
     assert refusal(np.array([0.1, np.nan], dtype=np.float32)) == "samples must all be finite"
+    # a span of the largest float: linspace's last k * step rounds past hi,
+    # and the nodes it keeps are finite, with the last one at hi
+    half = sys.float_info.max / 2.0
+    wide = GridFunction(-half, half, np.full(4, 1e-300))
+    assert np.all(np.isfinite(wide.nodes)) and wide.nodes[-1] == half
 
 
 def test_grid_height_of_gaussian_samples_is_one():
@@ -266,7 +272,7 @@ def test_max_over_includes_interpolated_endpoints():
     f = GridFunction(0.0, 2.0, [0.0, 1.0, 0.0])
     assert f.max_over(IntervalSet.interval(0.0, 0.5)) == 0.5
     assert f.max_over(IntervalSet.interval(0.25, 1.75)) == 1.0
-    assert f.max_over(IntervalSet.empty()) == 0.0
+    assert f.max_over(IntervalSet()) == 0.0
 
 
 def test_prefix_is_bit_identical_to_the_sequential_neumaier_loop():
@@ -393,7 +399,7 @@ def _reading_cases(rng):
             ))
             points = [float(x) for x in points if lo - slack <= x <= hi + slack]
             distinct = np.unique(points)
-            events = [IntervalSet.empty(), IntervalSet.interval(lo - 0.5 * slack, hi + 0.5 * slack)]
+            events = [IntervalSet(), IntervalSet.interval(lo - 0.5 * slack, hi + 0.5 * slack)]
             for pieces in range(1, _FEW_POINTS + 1):
                 cuts = sorted(rng.choice(points, 2 * pieces, replace=True))
                 events.append(IntervalSet.from_pairs(zip(cuts[::2], cuts[1::2])))

@@ -131,9 +131,9 @@ def test_cut_within_an_event_is_the_full_cut_intersected_with_it():
     got = alpha_cut(f, 0.592941018104284, False, within).cut
     assert got.intervals == ((0.7483098695060149, 2.5726352315939045),)
     assert got.intervals[0][0] > f.nodes[1]
-    assert alpha_cut(triangle(), 0.5, False, IntervalSet.empty()).cut.is_empty
+    assert alpha_cut(triangle(), 0.5, False, IntervalSet()).cut.is_empty
     with pytest.raises(ValueError, match="alpha"):
-        alpha_cut(triangle(), -0.1, False, IntervalSet.empty())
+        alpha_cut(triangle(), -0.1, False, IntervalSet())
 
 
 def test_cut_rejects_negative_alpha():
@@ -153,7 +153,7 @@ def test_finite_cut_thresholds_grades():
 def test_constant_function_integrates_exactly():
     ones = GridFunction(0.0, 1.0, np.ones(101))
     assert ones.integral_over(IntervalSet.interval(0.0, 1.0)) == 1.0
-    assert ones.integral_over(IntervalSet.empty()) == 0.0
+    assert ones.integral_over(IntervalSet()) == 0.0
 
 
 def test_normal_mass_on_central_interval():
@@ -460,7 +460,7 @@ def test_grid_integral_with_additive_measure():
 def test_grid_integral_empty_event_is_zero():
     pi = normal_density(n=101).scaled_by_max()
     m = MeasureSpec.possibilistic(pi)
-    assert sugeno_integral(pi, IntervalSet.empty(), m) == 0.0
+    assert sugeno_integral(pi, IntervalSet(), m) == 0.0
 
 
 def test_additive_grid_sugeno_returns_early_without_bisecting(monkeypatch):
@@ -473,7 +473,7 @@ def test_additive_grid_sugeno_returns_early_without_bisecting(monkeypatch):
     window = IntervalSet.interval(-1.0, 1.0)
     zero, tenth = (GridFunction(-8.0, 8.0, np.full(10001, v)) for v in (0.0, 0.1))
     # nothing to cut: an empty event or f = 0 is 0
-    assert sugeno_integral(tenth, IntervalSet.empty(), m) == 0.0
+    assert sugeno_integral(tenth, IntervalSet(), m) == 0.0
     assert sugeno_integral(zero, window, m) == 0.0
     assert cuts == []
     # g(max f) = mu([-1, 1)) = 0.68 >= 0.1 = max f: the top level, after one cut
@@ -570,7 +570,7 @@ def test_possibility_grid_sugeno_matches_the_bisection_oracle():
             _random_pieces(rng, lo, hi),
             _random_pieces(rng, lo, hi, nodes=pi.nodes) if n >= 8 else pi.full_span(),
             pi.full_span(),
-            IntervalSet.empty(),
+            IntervalSet(),
         ]
         for a in events:
             want = sugeno_grid_bisection_oracle(f, a, m)
@@ -625,7 +625,7 @@ def test_additive_grid_sugeno_matches_the_bisection_oracle(monkeypatch):
             _random_pieces(rng, lo, hi),
             IntervalSet.from_pairs(zip(np.sort(ends)[::2].tolist(), np.sort(ends)[1::2].tolist())),
             rho.full_span(),
-            IntervalSet.empty(),
+            IntervalSet(),
         ]
         for a in events:
             cuts.clear()
@@ -672,7 +672,7 @@ def test_additive_grid_sugeno_at_a_plateau_and_where_f_is_zero_on_the_event(monk
     # f = 0 on the event but positive elsewhere: the integral is 0
     bump = GridFunction(0.0, 4.0, [0.0, 0.0, 0.0, 0.0, 0.9])
     assert sugeno_integral(bump, IntervalSet.interval(0.5, 3.0), m) == 0.0
-    assert sugeno_integral(bump, IntervalSet.empty(), m) == 0.0
+    assert sugeno_integral(bump, IntervalSet(), m) == 0.0
     # f in quarters: many nodes share each level, and no level is cut twice
     cuts = []
     original = integrals.alpha_cut
@@ -705,7 +705,7 @@ def _events_of_up_to_ten_pieces(rng, pi):
     # nodes, and with the outer two inside the span slack
     lo, hi = pi.x_min, pi.x_max
     slack = 0.5e-12 * max(1.0, hi - lo)
-    events = [IntervalSet.empty(), pi.full_span()]
+    events = [IntervalSet(), pi.full_span()]
     for pieces in range(1, 11):
         for ends in (rng.uniform(lo, hi, 2 * pieces), rng.choice(pi.nodes, 2 * pieces, replace=False),
                      np.concatenate(([lo - slack, hi + slack], rng.uniform(lo, hi, 2 * pieces - 2)))):

@@ -439,7 +439,7 @@ def test_possibility_reads_build_no_prefix():
     sugeno_integral(pi, window, poss)
     grid_tolerance(pi)
     # a sum of nothing is +0.0, read before any prefix
-    assert repr(pi.integral_over(IntervalSet.empty())) == "0.0"
+    assert repr(pi.integral_over(IntervalSet())) == "0.0"
     assert "_prefix" not in vars(pi) and "_prefix" not in vars(density)
     density.integral_over(window)
     assert "_prefix" in vars(density)
