@@ -71,6 +71,7 @@ from .qubits import (
     QubitState,
     TwoQubitState,
     amplitude_determinant,
+    apply_gates,
     apply_hadamard,
     apply_pauli_x,
     apply_pauli_z,

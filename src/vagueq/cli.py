@@ -1,22 +1,20 @@
 """Command-line interface.
 
-Numeric results print as ``key = value`` lines; CSV dumps go behind
-``--csv`` (sweeps) or ``--dump-density`` (re-ingestable samples).  Exit
-codes: 0 on success, 1 on domain errors, 2 on usage errors; both errors
-write one ``error:`` line to stderr and nothing to stdout.
+Each handler yields its results as ``(key, value)`` pairs and runs its
+file writes; ``main`` alone writes, the pairs as ``key = value`` lines
+once the handler has finished.  CSV dumps go behind ``--csv`` (sweeps) or
+``--dump-density`` (re-ingestable samples).  Exit codes: 0 on success, 1
+on domain errors, 2 on usage errors; both errors write one ``error:``
+line to stderr and nothing to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
-import io
 import os
 import sys
-
-import numpy as np
 
 from .formats import (
     read_fuzzy_set, read_grade_table, read_grid_csv, read_table_measure, write_fuzzy_set,
@@ -39,12 +37,8 @@ from .qubits import (
     FuzzyQubitState,
     QubitState,
     TwoQubitState,
-    _complex_pairs,
     amplitude_determinant,
-    apply_hadamard,
-    apply_pauli_x,
-    apply_pauli_z,
-    apply_unitary,
+    apply_gates,
     born_sample_many,
     defuzzify,
     fuzzify,
@@ -73,18 +67,6 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
         else:
             out.append(token)
     return out
-
-
-def emit(key: str, value) -> None:
-    """Print one ``key = value`` line: booleans as true/false, integers bare,
-    reals with nine digits after the decimal point."""
-    if isinstance(value, (bool, np.bool_)):
-        text = "true" if value else "false"
-    elif isinstance(value, (int, np.integer)):
-        text = str(int(value))
-    else:
-        text = f"{float(value):.9f}"
-    print(f"{key} = {text}")
 
 
 def _parse_kv(body: str) -> dict[str, str]:
@@ -164,14 +146,14 @@ def load_wavefunction(spec: str, args) -> WavefunctionSpec:
     head, kv = _parse_spec(spec, ("gaussian", "box", "samples"))
     if head == "gaussian":
         _take_keys(kv, (), ("mu", "sigma"))
-        domain = parse_interval(args.domain) if args.domain else None
+        domain = None if args.domain is None else parse_interval(args.domain)
         return WavefunctionSpec.gaussian(
             mu=float(kv.get("mu", "0")),
             sigma=float(kv.get("sigma", "1")),
             domain=domain,
             grid_points=args.grid,
         )
-    if args.domain:
+    if args.domain is not None:
         raise ValueError("--domain applies only to gaussian wavefunctions")
     if head == "box":
         _take_keys(kv, ("n", "L"))
@@ -214,7 +196,7 @@ def _event_from_args(args) -> IntervalSet | frozenset:
 
 # --- handlers ---------------------------------------------------------------
 
-def _cmd_fuzzy(args) -> int:
+def _cmd_fuzzy(args):
     if args.op == "complement":
         _applies_only(args, "to fuzzy union and intersect", "--b", "--tnorm")
     a = read_fuzzy_set(args.a)
@@ -226,61 +208,55 @@ def _cmd_fuzzy(args) -> int:
         b = read_fuzzy_set(args.b)
         op = fuzzy_union if args.op == "union" else fuzzy_intersection
         result = op(a, b, TNormKind(args.tnorm or DEFAULT_TNORM))
-    for label, grade in result.items():
-        emit(label, grade)
-    if args.out:
+    yield from result.items()
+    if args.out is not None:
         write_fuzzy_set(result, args.out)
-    return 0
 
 
-def _cmd_measure_eval(args) -> int:
+def _cmd_measure_eval(args):
     m = load_measure(args.measure)
     event = _event_from_args(args)
-    emit("measure", measure_of(m, event))
+    yield "measure", measure_of(m, event)
     payload = getattr(m, "distribution", None)
     if isinstance(m, AdditiveMeasure):
-        emit("normalized", m.is_normalized)
+        yield "normalized", m.is_normalized
         payload = m.density
-    if args.csv:
+    if args.csv is not None:
         if not isinstance(payload, GridFunction):
             raise ValueError("--csv needs a measure with a grid payload")
         write_grid_csv(payload, args.csv)
-    return 0
 
 
-def _cmd_measure_check(args) -> int:
+def _cmd_measure_check(args):
     m = load_measure(args.measure)
     parts = parse_parts(args.parts)
     check = check_possibility_union_axiom if args.check == "maxitivity" else check_additivity
     # an unset --tol leaves each check its own default
-    emit("holds", check(m, parts) if args.tol is None else check(m, parts, tol=args.tol))
-    return 0
+    yield "holds", check(m, parts) if args.tol is None else check(m, parts, tol=args.tol)
 
 
-def _cmd_lebesgue(args) -> int:
+def _cmd_lebesgue(args):
     f = read_grid_csv(args.density)
-    emit("integral", f.integral_over(IntervalSet.interval(*parse_interval(args.interval))))
-    if args.csv:
+    yield "integral", f.integral_over(IntervalSet.interval(*parse_interval(args.interval)))
+    if args.csv is not None:
         write_grid_csv(f, args.csv)
-    return 0
 
 
-def _cmd_sugeno(args) -> int:
+def _cmd_sugeno(args):
     f = load_function(args.function)
     m = load_measure(args.measure)
     event = _event_from_args(args)
-    emit("sugeno", sugeno_integral(f, event, m))
+    yield "sugeno", sugeno_integral(f, event, m)
     if isinstance(f, GridFunction):
-        emit("grid_tolerance", grid_tolerance(f))
-        if args.csv:
+        yield "grid_tolerance", grid_tolerance(f)
+        if args.csv is not None:
             write_grid_csv(f, args.csv)
-    elif args.csv:
+    elif args.csv is not None:
         raise ValueError("--csv needs a grid function")
-    return 0
 
 
-def _cmd_localize(args) -> int:
-    if not args.csv:
+def _cmd_localize(args):
+    if args.csv is None:
         _applies_only(args, "with --csv", "--sweep-steps")
     w = load_wavefunction(args.wavefunction, args)
     a, b = parse_interval(args.interval)
@@ -288,42 +264,12 @@ def _cmd_localize(args) -> int:
     w = WavefunctionSpec.from_samples(density)
     report = localize(w, a, b, time=args.time)
     steps = DEFAULT_SWEEP_STEPS if args.sweep_steps is None else args.sweep_steps
-    rows = localization_sweep(w, a, b, steps=steps) if args.csv else None
-    for field in dataclasses.fields(report):
-        emit(field.name, getattr(report, field.name))
-    if args.dump_density:
+    rows = None if args.csv is None else localization_sweep(w, a, b, steps=steps)
+    yield from dataclasses.asdict(report).items()
+    if args.dump_density is not None:
         write_grid_csv(density, args.dump_density)
     if rows is not None:
         write_sweep_csv(rows, args.csv)
-    return 0
-
-
-_GATES = {
-    "H": apply_hadamard,
-    "X": apply_pauli_x,
-    "Z": apply_pauli_z,
-}
-
-
-def _apply_gates(state: QubitState, gates: list[str]) -> QubitState:
-    for gate in gates:
-        name = gate.strip()
-        if name in _GATES:
-            state = _GATES[name](state)
-            continue
-        if name.startswith("u:"):
-            try:
-                nums = [float(p) for p in name[2:].split(",")]
-            except ValueError:
-                raise ValueError(f"cannot parse gate {gate!r}") from None
-            if len(nums) != 8:
-                raise ValueError(
-                    "u: gate needs 8 numbers (re,im per entry, row-major)"
-                )
-            state = apply_unitary(state, np.reshape(_complex_pairs(nums), (2, 2)))
-            continue
-        raise ValueError(f"unknown gate {gate!r}; use H, X, Z, or u:8 numbers")
-    return state
 
 
 def _parse_init(text: str) -> QubitState:
@@ -333,7 +279,7 @@ def _parse_init(text: str) -> QubitState:
     return state
 
 
-def _cmd_qubit(args) -> int:
+def _cmd_qubit(args):
     if args.report != "defuzz":
         _applies_only(args, "with --report defuzz", "--method")
     if args.report != "sample":
@@ -351,37 +297,35 @@ def _cmd_qubit(args) -> int:
         state = None
         fuzzy_state = FuzzyQubitState(mu0, mu1)
     else:
-        state = _apply_gates(_parse_init(args.init or "0"), args.gate or [])
+        state = apply_gates(_parse_init("0" if args.init is None else args.init), args.gate or [])
         fuzzy_state = fuzzify(state)
     seed = resolve_seed(args.seed) if draw else None
 
     if args.report == "state":
         if state is None:
             raise ValueError("fuzzy states have no amplitudes to report")
-        emit("a0_re", state.a0.real)
-        emit("a0_im", state.a0.imag)
-        emit("a1_re", state.a1.real)
-        emit("a1_im", state.a1.imag)
+        yield "a0_re", state.a0.real
+        yield "a0_im", state.a0.imag
+        yield "a1_re", state.a1.real
+        yield "a1_im", state.a1.imag
     elif args.report == "memberships":
-        emit("mu0", fuzzy_state.mu0)
-        emit("mu1", fuzzy_state.mu1)
-        emit("born_compatible", fuzzy_state.born_compatible)
+        yield "mu0", fuzzy_state.mu0
+        yield "mu1", fuzzy_state.mu1
+        yield "born_compatible", fuzzy_state.born_compatible
     elif args.report == "defuzz":
-        outcome = defuzzify(fuzzy_state, method=args.method or DEFAULT_METHOD, seed=seed)
-        emit("outcome", outcome)
+        yield "outcome", defuzzify(fuzzy_state, method=args.method or DEFAULT_METHOD, seed=seed)
     else:  # sample
         draws = DEFAULT_DRAWS if args.draws is None else args.draws
         outcomes = born_sample_many(fuzzy_state, draws, seed=seed)
-        emit("draws", draws)
-        emit("freq0", float(np.mean(outcomes == 0)))
-        emit("freq1", float(np.mean(outcomes == 1)))
-    return 0
+        yield "draws", draws
+        yield "freq0", float((outcomes == 0).mean())
+        yield "freq1", float((outcomes == 1).mean())
 
 
-def _cmd_entangle(args) -> int:
-    if args.state is None and not (args.a and args.b):
+def _cmd_entangle(args):
+    if args.state is None and (args.a is None or args.b is None):
         raise ValueError("give --state, or both --a and --b")
-    if args.state is not None and (args.a or args.b):
+    if args.state is not None and (args.a is not None or args.b is not None):
         raise ValueError("give either --state or the --a/--b pair")
     if args.state is not None:
         state = parse_state_literal(args.state)
@@ -391,12 +335,11 @@ def _cmd_entangle(args) -> int:
         qa = _parse_init(args.a)
         qb = _parse_init(args.b)
         state = tensor_product(qa, qb)
-    emit("det", abs(amplitude_determinant(state)))
-    emit("entangled", is_entangled(state, tol=args.tol))
-    return 0
+    yield "det", abs(amplitude_determinant(state))
+    yield "entangled", is_entangled(state, tol=args.tol)
 
 
-def _cmd_lang(args) -> int:
+def _cmd_lang(args):
     spec = args.language
     if spec == "builtin":
         lang = zeros_then_ones_language()
@@ -404,8 +347,7 @@ def _cmd_lang(args) -> int:
         head, kv = _parse_spec(spec, ("table",))
         _take_keys(kv, ("path",), ("alphabet",))
         lang = read_grade_table(kv["path"], alphabet=kv.get("alphabet"))
-    emit("grade", lang.grade(args.word))
-    return 0
+    yield "grade", lang.grade(args.word)
 
 
 # --- parser -----------------------------------------------------------------
@@ -532,21 +474,28 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _line(key: str, value: bool | int | float) -> str:
+    """One ``key = value`` line: booleans as true/false, integers bare,
+    reals with nine digits after the decimal point."""
+    if isinstance(value, bool):
+        return f"{key} = {'true' if value else 'false'}\n"
+    if isinstance(value, int):
+        return f"{key} = {value}\n"
+    return f"{key} = {value:.9f}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     args = _parser().parse_args(_merge_negative_values(raw))
-    # a handler's lines reach stdout only once it succeeds: a failed call
-    # prints its one error line and nothing else
-    out = io.StringIO()
+    # the handler runs to its end, file writes included, before stdout sees
+    # a line: a failed call prints its one error line and nothing else
     try:
-        with contextlib.redirect_stdout(out):
-            code = args.handler(args)
+        text = "".join(_line(key, value) for key, value in args.handler(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if code == 0:
-        sys.stdout.write(out.getvalue())
-    return code
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ class IntervalSet:
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "IntervalSet":
         """Canonical union of arbitrary (lo, hi) pieces.
 
-        Pieces with lo >= hi contribute nothing and a NaN end is refused;
+        Pieces with lo >= hi contribute nothing and a non-finite end is refused;
         overlapping or touching pieces merge, so [0,1) with [1,2) is [0,2).
         """
         ordered = []
@@ -52,7 +52,7 @@ class IntervalSet:
             lo, hi = float(lo), float(hi)
             if lo < hi:
                 ordered.append((lo, hi))
-            elif not lo >= hi:  # a NaN end compares false both ways
+            elif not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"interval bounds must be finite, got [{lo}, {hi})")
         ordered.sort()
         merged: list[list[float]] = []

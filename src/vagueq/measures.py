@@ -80,6 +80,8 @@ class MeasureSpec:
             return self._labels
         if isinstance(a, IntervalSet):
             raise ValueError("measure domain mismatch: interval sets need a grid measure")
+        if isinstance(a, str):
+            raise ValueError(f"a finite event is an iterable of labels, not the string {a!r}")
         subset = frozenset(str(x) for x in a)
         foreign = subset - self._labels
         if foreign:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -205,3 +206,27 @@ def parse_state_literal(text: str) -> QubitState | TwoQubitState:
             f"amp literal needs 2 or 4 re,im pairs, got {len(nums)} numbers"
         )
     raise ValueError(f"unknown state literal {text!r}")
+
+
+_GATES = {"H": apply_hadamard, "X": apply_pauli_x, "Z": apply_pauli_z}
+
+
+def apply_gates(state: QubitState, gates: Iterable[str]) -> QubitState:
+    """Apply gate literals in order: ``H``, ``X``, ``Z``, or ``u:`` followed
+    by 8 comma-separated numbers, re,im per entry of a 2x2 unitary,
+    row-major.  Each gate is parsed and applied before the next is read."""
+    for gate in gates:
+        name = gate.strip()
+        if name in _GATES:
+            state = _GATES[name](state)
+        elif name.startswith("u:"):
+            try:
+                nums = [float(p) for p in name[2:].split(",")]
+            except ValueError:
+                raise ValueError(f"cannot parse gate {gate!r}") from None
+            if len(nums) != 8:
+                raise ValueError("u: gate needs 8 numbers (re,im per entry, row-major)")
+            state = apply_unitary(state, np.reshape(_complex_pairs(nums), (2, 2)))
+        else:
+            raise ValueError(f"unknown gate {gate!r}; use H, X, Z, or u:8 numbers")
+    return state

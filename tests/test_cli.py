@@ -16,6 +16,7 @@ from vagueq import (
     write_table_measure,
     MeasureSpec,
 )
+from vagueq import cli
 from vagueq.cli import main
 from vagueq.localize import GaussianWavefunction
 
@@ -414,6 +415,13 @@ def test_integrate_sugeno_grid(capsys, tmp_path):
     values = out_lines(out)
     assert abs(float(values["sugeno"]) - 1.0) <= 1e-6
     assert "grid_tolerance" in values
+    # both lines are yielded before --csv meets a directory: none is printed
+    code, out, err = run_cli(
+        capsys, "integrate", "sugeno", "--function", f"grid:{path}",
+        "--measure", f"possibilistic:grid={path}", "--interval", "-1,1", "--csv", str(tmp_path),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and str(tmp_path) in err and err.count("\n") == 1
 
 
 def test_integrate_sugeno_grid_at_large_levels_returns(tmp_path):
@@ -770,6 +778,45 @@ def test_usage_errors_exit_2(capsys):
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+def test_a_flag_given_an_empty_value_is_read(capsys, normal_csv, pi_finite):
+    # an empty value is a value: the flag is read, and refused as its reader
+    # refuses the empty string
+    box = ("localize", "--wavefunction", "box:n=1,L=1", "--interval", "0,1", "--grid", "101")
+    gaussian = ("localize", "--wavefunction", "gaussian", "--interval", "0,1", "--grid", "101")
+    no_file = "error: [Errno 2] No such file or directory: ''\n"
+    for argv, want in (
+        (box + ("--csv=",), no_file),
+        (box + ("--dump-density=",), no_file),
+        (gaussian + ("--domain=",), "error: expected 'a,b', got ''\n"),
+        (box + ("--domain=",), "error: --domain applies only to gaussian wavefunctions\n"),
+        (("fuzzy", "complement", "--a", pi_finite, "--out="), no_file),
+        (("measure", "eval", "--measure", f"additive:density={normal_csv}",
+          "--interval", "-1,1", "--csv="), no_file),
+        (("integrate", "lebesgue", "--density", normal_csv, "--interval", "-1,1", "--csv="),
+         no_file),
+        (("qubit", "--init=", "--report", "state"), "error: unknown state literal ''\n"),
+        (("entangle", "--state", "bell", "--a="),
+         "error: give either --state or the --a/--b pair\n"),
+        (("entangle", "--a=", "--b", "0"), "error: unknown state literal ''\n"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", want), argv
+
+
+def test_handlers_run_with_the_callers_stdout(capsys, monkeypatch):
+    # main collects a handler's lines and writes them itself, so it never
+    # rebinds sys.stdout around the handler
+    seen = []
+    original = cli.zeros_then_ones_language
+    monkeypatch.setattr(
+        cli, "zeros_then_ones_language", lambda: seen.append(sys.stdout) or original()
+    )
+    before = sys.stdout
+    code, out, err = run_cli(capsys, "lang", "grade", "--word", "00111")
+    assert (code, out, err) == (0, "grade = 0.666666667\n", "")
+    assert len(seen) == 1 and seen[0] is before
 
 
 def test_domain_errors_exit_1(capsys):

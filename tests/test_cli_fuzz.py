@@ -72,7 +72,7 @@ def off_path(argv) -> set[str]:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Input files of every kind, plus empty, missing and directory paths,
-    and the paths that outputs may be written to."""
+    and the paths that outputs may be written to, the empty path among them."""
     root = tmp_path_factory.mktemp("fuzz")
     xs = np.linspace(-2.0, 2.0, 101)
     bump = np.exp(-0.5 * xs * xs)
@@ -104,7 +104,7 @@ def files(tmp_path_factory):
     names = ("density.csv", "pi.csv", "f.csv", "pi.txt", "f.txt", "table.txt",
              "lang.txt", "huge.csv", *grid_files, "empty.txt", "dir", "missing.csv")
     inputs = {name: str(root / name) for name in names}
-    outputs = [str(root / "out.csv"), str(root / "dir"), str(root / "no" / "out.csv")]
+    outputs = [str(root / "out.csv"), str(root / "dir"), str(root / "no" / "out.csv"), ""]
     return inputs, outputs
 
 

@@ -33,13 +33,18 @@ def test_from_pairs_merges_touching_and_overlapping():
 
 
 def test_from_pairs_refuses_a_nan_end_as_the_constructor_does():
-    nan = math.nan
+    nan, inf = math.nan, math.inf
     # a NaN end compares false both ways: it is refused, never dropped as an
-    # empty piece nor merged into its neighbour
+    # empty piece nor merged into its neighbour; an infinite end is refused
+    # on an empty piece as on a non-empty one
     for pairs, text in (
         ([(nan, 1.0)], "[nan, 1.0)"),
         ([(0.0, 1.0), (0.5, nan)], "[0.5, nan)"),
         ([(0.0, 1.0), (nan, nan)], "[nan, nan)"),
+        ([(inf, inf)], "[inf, inf)"),
+        ([(0.0, 1.0), (5.0, -inf)], "[5.0, -inf)"),
+        ([(-inf, -inf), (0.0, 1.0)], "[-inf, -inf)"),
+        ([(-inf, -5.0)], "[-inf, -5.0)"),
     ):
         want = f"interval bounds must be finite, got {text}"
         with pytest.raises(ValueError) as caught:

@@ -274,6 +274,22 @@ def test_measure_kind_event_mismatches_are_errors():
     assert texts[0] == "measure domain mismatch: interval sets need a grid measure"
 
 
+def test_a_finite_event_refuses_a_bare_string():
+    # a string iterates as its characters, so "ab" would read as {a, b}
+    poss = MeasureSpec.possibilistic(FiniteFuzzySet(("x1", "x2"), [1.0, 0.6]))
+    table = MeasureSpec.from_table(("a", "b"), _table_2())
+    for m, event in ((poss, "x1"), (table, "ab")):
+        f = FiniteFuzzySet(m.universe, [0.5, 0.25])
+        want = f"a finite event is an iterable of labels, not the string {event!r}"
+        with pytest.raises(ValueError) as caught:
+            measure_of(m, event)
+        assert str(caught.value) == want
+        with pytest.raises(ValueError) as caught:
+            sugeno_integral(f, event, m)
+        assert str(caught.value) == want
+    assert measure_of(poss, ["x1"]) == 1.0 and measure_of(table, ("a", "b")) == 1.0
+
+
 def test_none_event_is_the_whole_universe_on_finite_measures():
     table = MeasureSpec.from_table(("a", "b"), _table_2())
     for m in (MeasureSpec.possibilistic(finite_pi()), table):

@@ -8,6 +8,7 @@ from vagueq import (
     QubitState,
     TwoQubitState,
     amplitude_determinant,
+    apply_gates,
     apply_hadamard,
     apply_pauli_x,
     apply_pauli_z,
@@ -103,6 +104,37 @@ def test_numeric_unitary_matches_named_gates():
         direct = apply_hadamard(s)
         assert abs(via_matrix.a0 - direct.a0) <= 1e-12
         assert abs(via_matrix.a1 - direct.a1) <= 1e-12
+
+
+def test_gate_literals_apply_the_gates_bit_for_bit():
+    u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    literal = "u:0.6,0,0,0.8,0,0.8,0.6,0"
+    rng = np.random.default_rng(45)
+    for _ in range(50):
+        s = random_qubit_state(rng)
+        for gates, direct in (
+            (["H"], apply_hadamard(s)),
+            (["X"], apply_pauli_x(s)),
+            ([" Z "], apply_pauli_z(s)),
+            ([literal], apply_unitary(s, u)),
+            (["H", "Z", literal], apply_unitary(apply_pauli_z(apply_hadamard(s)), u)),
+        ):
+            assert apply_gates(s, gates) == direct, gates
+    assert apply_gates(ket1(), []) == ket1()
+
+
+def test_gate_literal_errors_come_in_gate_order():
+    # each gate is parsed and applied before the next one is read
+    with pytest.raises(ValueError, match="not unitary"):
+        apply_gates(ket0(), ["u:1,0,0,0,0,0,2,0", "Q"])
+    for gates, message in (
+        (["Q", "u:1,2"], "unknown gate 'Q'; use H, X, Z, or u:8 numbers"),
+        (["H", "u:1,2", "Q"], "u: gate needs 8 numbers (re,im per entry, row-major)"),
+        (["X", "u:1,x,0,0,0,0,1,0"], "cannot parse gate 'u:1,x,0,0,0,0,1,0'"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            apply_gates(ket0(), gates)
+        assert str(caught.value) == message
 
 
 def test_non_unitary_matrices_are_rejected():
