@@ -21,6 +21,7 @@ from vagueq import (
     amplitude_determinant,
     apply_hadamard,
     bell_state,
+    born_compatible,
     born_sample_many,
     defuzzify,
     fuzzify,
@@ -41,11 +42,13 @@ def main(argv=None) -> int:
     cfg = parse_args(argv)
 
     state = apply_hadamard(ket0())
-    print(f"H|0> amplitudes: a0 = {state.a0:.9f}, a1 = {state.a1:.9f}")
+    a0, a1 = state.amplitudes
+    print(f"H|0> amplitudes: a0 = {a0:.9f}, a1 = {a1:.9f}")
 
     fuzzy = fuzzify(state)
-    print(f"membership grades: mu0 = {fuzzy.mu0:.9f}, mu1 = {fuzzy.mu1:.9f}")
-    print(f"born_compatible = {fuzzy.born_compatible}")
+    mu0, mu1 = fuzzy.grades
+    print(f"membership grades: mu0 = {mu0:.9f}, mu1 = {mu1:.9f}")
+    print(f"born_compatible = {born_compatible(fuzzy)}")
 
     print(f"defuzzify argmax      -> {defuzzify(fuzzy, method='argmax')} "
           "(equal grades tie to 0)")

@@ -3,10 +3,12 @@ possibilistic qubit simulator.
 
 The package treats vagueness as a first-class alternative to chance:
 densities can be read additively (integrate) or possibilistically
-(rescale to sup 1 and take suprema), and qubit states can be collapsed
-by argmax instead of sampling.  Everything is immutable and operations
-are pure; randomness only enters ``born_sample`` paths and is seeded per
-call.
+(rescale to sup 1 and take suprema), and a one- or two-qubit
+``Register`` fuzzifies to a ``FiniteFuzzySet`` over its basis labels,
+which the measures and Sugeno integrals read like any other finite set
+and which collapses by argmax instead of sampling.  Everything is
+immutable and operations are pure; randomness only enters
+``born_sample`` paths and is seeded per call.
 
 The names imported below are the public API.
 """
@@ -36,7 +38,6 @@ from .fuzzy import (
 from .integrals import (
     AlphaCut,
     alpha_cut,
-    alpha_cut_finite,
     grid_tolerance,
     sugeno_integral,
 )
@@ -67,9 +68,7 @@ from .measures import (
     measure_of,
 )
 from .qubits import (
-    FuzzyQubitState,
-    QubitState,
-    TwoQubitState,
+    Register,
     amplitude_determinant,
     apply_gates,
     apply_hadamard,
@@ -77,6 +76,7 @@ from .qubits import (
     apply_pauli_z,
     apply_unitary,
     bell_state,
+    born_compatible,
     born_sample_many,
     defuzzify,
     fuzzify,

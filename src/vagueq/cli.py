@@ -34,11 +34,10 @@ from .measures import (
     AdditiveMeasure, MeasureSpec, check_additivity, check_possibility_union_axiom, measure_of
 )
 from .qubits import (
-    FuzzyQubitState,
-    QubitState,
-    TwoQubitState,
+    Register,
     amplitude_determinant,
     apply_gates,
+    born_compatible,
     born_sample_many,
     defuzzify,
     fuzzify,
@@ -272,9 +271,9 @@ def _cmd_localize(args):
         write_sweep_csv(rows, args.csv)
 
 
-def _parse_init(text: str) -> QubitState:
+def _parse_init(text: str) -> Register:
     state = parse_state_literal({"0": "|0>", "1": "|1>"}.get(text.strip(), text))
-    if not isinstance(state, QubitState):
+    if state.qubits != 1:
         raise ValueError("qubit commands need a one-qubit state")
     return state
 
@@ -293,9 +292,8 @@ def _cmd_qubit(args):
     if args.fuzzy is not None:
         if args.gate:
             raise ValueError("gates act on amplitudes, not fuzzy states")
-        mu0, mu1 = parse_interval(args.fuzzy)
         state = None
-        fuzzy_state = FuzzyQubitState(mu0, mu1)
+        fuzzy_state = FiniteFuzzySet(("0", "1"), parse_interval(args.fuzzy))
     else:
         state = apply_gates(_parse_init("0" if args.init is None else args.init), args.gate or [])
         fuzzy_state = fuzzify(state)
@@ -304,22 +302,20 @@ def _cmd_qubit(args):
     if args.report == "state":
         if state is None:
             raise ValueError("fuzzy states have no amplitudes to report")
-        yield "a0_re", state.a0.real
-        yield "a0_im", state.a0.imag
-        yield "a1_re", state.a1.real
-        yield "a1_im", state.a1.imag
+        for label, z in zip(state.labels, state.amplitudes):
+            yield f"a{label}_re", z.real
+            yield f"a{label}_im", z.imag
     elif args.report == "memberships":
-        yield "mu0", fuzzy_state.mu0
-        yield "mu1", fuzzy_state.mu1
-        yield "born_compatible", fuzzy_state.born_compatible
+        yield from ((f"mu{label}", grade) for label, grade in fuzzy_state.items())
+        yield "born_compatible", born_compatible(fuzzy_state)
     elif args.report == "defuzz":
         yield "outcome", defuzzify(fuzzy_state, method=args.method or DEFAULT_METHOD, seed=seed)
     else:  # sample
         draws = DEFAULT_DRAWS if args.draws is None else args.draws
         outcomes = born_sample_many(fuzzy_state, draws, seed=seed)
         yield "draws", draws
-        yield "freq0", float((outcomes == 0).mean())
-        yield "freq1", float((outcomes == 1).mean())
+        for i, label in enumerate(fuzzy_state.universe):
+            yield f"freq{label}", float((outcomes == i).mean())
 
 
 def _cmd_entangle(args):
@@ -329,7 +325,7 @@ def _cmd_entangle(args):
         raise ValueError("give either --state or the --a/--b pair")
     if args.state is not None:
         state = parse_state_literal(args.state)
-        if not isinstance(state, TwoQubitState):
+        if state.qubits != 2:
             raise ValueError("entangle needs a two-qubit state")
     else:
         qa = _parse_init(args.a)

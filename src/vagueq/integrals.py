@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -28,24 +27,15 @@ from .intervals import IntervalSet
 
 @dataclass(frozen=True)
 class AlphaCut:
-    """The superlevel set of a function at one threshold.
+    """The superlevel set of a grid function at one threshold.
 
-    ``cut`` is an IntervalSet for grid functions or a frozenset of labels
-    for finite fuzzy sets; ``strict`` records whether the set is
+    ``cut`` is an IntervalSet; ``strict`` records whether the set is
     {f > alpha} rather than {f >= alpha}.
     """
 
     alpha: float
-    cut: IntervalSet | frozenset
+    cut: IntervalSet
     strict: bool = False
-
-
-def _superlevel(values: np.ndarray, alpha: float, strict: bool) -> np.ndarray:
-    """The one level rule: check that ``alpha`` is a finite level >= 0, then
-    mask the ``values`` above it, strictly or not."""
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    return (values > alpha) if strict else (values >= alpha)
 
 
 def alpha_cut(
@@ -73,7 +63,9 @@ def alpha_cut(
         start, stop = f._node_range(lo, hi)
         j0, j1 = max(int(start) - 2, 0), int(stop) + 1
         ys, xs = ys[j0:j1], xs[j0:j1]
-    sat = _superlevel(ys, alpha, strict)
+    if not math.isfinite(alpha) or alpha < 0.0:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    sat = (ys > alpha) if strict else (ys >= alpha)
     k = np.flatnonzero(sat[:-1] != sat[1:])
     x0, y0 = xs[k], ys[k]
     h, d = xs[k + 1] - x0, ys[k + 1] - y0
@@ -86,15 +78,6 @@ def alpha_cut(
     ends = np.concatenate((xs[:1][sat[:1]], x0 + step, xs[-1:][sat[-1:]]))
     cut = IntervalSet.from_pairs(ends.reshape(-1, 2).tolist())
     return AlphaCut(alpha, cut if within is None else cut.intersection(within), strict)
-
-
-def alpha_cut_finite(
-    f: FiniteFuzzySet, alpha: float, strict: bool = False
-) -> AlphaCut:
-    """Superlevel subset of a finite fuzzy set."""
-    alpha = float(alpha)
-    keep = frozenset(compress(f.universe, _superlevel(f.grades, alpha, strict)))
-    return AlphaCut(alpha, keep, strict)
 
 
 def grid_tolerance(f: GridFunction) -> float:

@@ -1,9 +1,11 @@
 """A toy one- and two-qubit simulator with a fuzzy reading of states.
 
-Squared amplitude magnitudes are taken as membership grades of the basis
-outcomes rather than probabilities: superposition becomes fuzzification,
-measurement becomes defuzzification.  Fuzzy states carry two grades that
-need not sum to one; whether they happen to is reported, never enforced.
+A ``Register`` holds amplitudes over the basis labels ``"0"``, ``"1"``
+(one qubit) or ``"00"`` … ``"11"`` (two).  Their squared magnitudes are
+read as membership grades, not probabilities: superposition becomes
+fuzzification into a ``FiniteFuzzySet`` over those labels, measurement
+becomes defuzzification.  The grades need not sum to one; whether they
+do is reported, never enforced.
 """
 
 from __future__ import annotations
@@ -14,12 +16,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .fuzzy import as_grade
+from .fuzzy import FiniteFuzzySet
 
 NORM_TOL = 1e-9
 TIE_TOL = 1e-12
 MAX_DRAWS = 10_000_000
+MAX_QUBITS = 2
 SQRT2 = math.sqrt(2.0)
+# the basis labels of a register, keyed by its number of amplitudes
+_LABELS = {2**n: tuple(format(i, f"0{n}b") for i in range(2**n)) for n in range(1, MAX_QUBITS + 1)}
 
 
 def _check_amplitude(value) -> complex:
@@ -44,75 +49,72 @@ def _complex_pairs(nums: list[float]) -> list[complex]:
 
 
 @dataclass(frozen=True)
-class QubitState:
-    """Amplitudes over the computational basis, normalized within 1e-9."""
+class Register:
+    """Amplitudes over the basis ``labels`` of 1 to ``MAX_QUBITS`` qubits,
+    normalized within 1e-9."""
 
-    a0: complex
-    a1: complex
-
-    def __post_init__(self) -> None:
-        a0, a1 = _unit_norm((_check_amplitude(self.a0), _check_amplitude(self.a1)))
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "a1", a1)
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Four amplitudes over |00>, |01>, |10>, |11>, normalized within 1e-9."""
-
-    amplitudes: tuple[complex, complex, complex, complex]
+    amplitudes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
         amps = tuple(_check_amplitude(z) for z in self.amplitudes)
-        if len(amps) != 4:
-            raise ValueError("two-qubit states need exactly 4 amplitudes")
+        if len(amps) not in _LABELS:
+            sizes = " or ".join(map(str, _LABELS))
+            raise ValueError(f"a register holds {sizes} amplitudes, got {len(amps)}")
         object.__setattr__(self, "amplitudes", _unit_norm(amps))
 
-
-@dataclass(frozen=True)
-class FuzzyQubitState:
-    """Membership grades of the two basis outcomes; the sum is unconstrained."""
-
-    mu0: float
-    mu1: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu0", as_grade(self.mu0))
-        object.__setattr__(self, "mu1", as_grade(self.mu1))
+    @property
+    def qubits(self) -> int:
+        return len(self.amplitudes).bit_length() - 1
 
     @property
-    def born_compatible(self) -> bool:
-        """Do the grades happen to sum to 1, as squared amplitudes would?"""
-        return abs(self.mu0 + self.mu1 - 1.0) <= NORM_TOL
+    def labels(self) -> tuple[str, ...]:
+        return _LABELS[len(self.amplitudes)]
 
 
-def ket0() -> QubitState:
-    return QubitState(1.0, 0.0)
+def _amplitudes(s: Register, qubits: int) -> tuple[complex, ...]:
+    """``s``'s amplitudes if it holds ``qubits`` qubits."""
+    if s.qubits != qubits:
+        raise ValueError(f"expected a {qubits}-qubit register, got {s.qubits} qubits")
+    return s.amplitudes
 
 
-def ket1() -> QubitState:
-    return QubitState(0.0, 1.0)
+def ket0() -> Register:
+    return Register((1.0, 0.0))
 
 
-def fuzzify(s: QubitState) -> FuzzyQubitState:
-    """Squared amplitude magnitudes read as membership grades."""
-    return FuzzyQubitState(min(abs(s.a0) ** 2, 1.0), min(abs(s.a1) ** 2, 1.0))
+def ket1() -> Register:
+    return Register((0.0, 1.0))
 
 
-def apply_hadamard(s: QubitState) -> QubitState:
-    return QubitState((s.a0 + s.a1) / SQRT2, (s.a0 - s.a1) / SQRT2)
+def fuzzify(s: Register) -> FiniteFuzzySet:
+    """Squared amplitude magnitudes read as membership grades of the basis
+    labels, each computed in Python floats."""
+    return FiniteFuzzySet(s.labels, [min(abs(z) ** 2, 1.0) for z in s.amplitudes])
 
 
-def apply_pauli_x(s: QubitState) -> QubitState:
-    return QubitState(s.a1, s.a0)
+def born_compatible(s: FiniteFuzzySet) -> bool:
+    """Do the grades happen to sum to 1, as squared amplitudes would?"""
+    return abs(math.fsum(s.grades) - 1.0) <= NORM_TOL
 
 
-def apply_pauli_z(s: QubitState) -> QubitState:
-    return QubitState(s.a0, -s.a1)
+def apply_hadamard(s: Register) -> Register:
+    a0, a1 = _amplitudes(s, 1)
+    return Register(((a0 + a1) / SQRT2, (a0 - a1) / SQRT2))
 
 
-def apply_unitary(s: QubitState, matrix) -> QubitState:
+def apply_pauli_x(s: Register) -> Register:
+    a0, a1 = _amplitudes(s, 1)
+    return Register((a1, a0))
+
+
+def apply_pauli_z(s: Register) -> Register:
+    a0, a1 = _amplitudes(s, 1)
+    return Register((a0, -a1))
+
+
+def apply_unitary(s: Register, matrix) -> Register:
     """Apply a numeric 2x2 unitary (checked unitary within 1e-9)."""
+    a0, a1 = _amplitudes(s, 1)
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
@@ -122,67 +124,67 @@ def apply_unitary(s: QubitState, matrix) -> QubitState:
     defect = np.abs(u @ u.conj().T - np.eye(2)).max()
     if defect > NORM_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect})")
-    b0 = u[0, 0] * s.a0 + u[0, 1] * s.a1
-    b1 = u[1, 0] * s.a0 + u[1, 1] * s.a1
-    return QubitState(complex(b0), complex(b1))
+    b0 = u[0, 0] * a0 + u[0, 1] * a1
+    b1 = u[1, 0] * a0 + u[1, 1] * a1
+    return Register((complex(b0), complex(b1)))
 
 
-def defuzzify(s: FuzzyQubitState, method: str = "argmax", seed: int | None = None) -> int:
-    """Collapse a fuzzy state to a basis outcome.
+def defuzzify(s: FiniteFuzzySet, method: str = "argmax", seed: int | None = None) -> int:
+    """Collapse a fuzzy state to the index of a basis outcome.
 
-    ``argmax`` picks the larger grade, ties (within 1e-12) going to 0;
-    it never touches randomness.  ``born_sample`` renormalizes the grades
-    to a Bernoulli law and draws once from a generator seeded per call,
-    so identical seeds give identical outcomes and calls never share state.
+    ``argmax`` picks the first outcome whose grade is the largest within
+    1e-12, so ties go to the lower index; it never touches randomness.
+    ``born_sample`` renormalizes the grades to a law over the outcomes and
+    draws once from a generator seeded per call, so identical seeds give
+    identical outcomes and calls never share state.
     """
     if method == "argmax":
-        if abs(s.mu0 - s.mu1) <= TIE_TOL:
-            return 0
-        return 0 if s.mu0 > s.mu1 else 1
+        g = s.grades
+        return int(np.argmax(g.max() - g <= TIE_TOL))
     if method == "born_sample":
         return int(born_sample_many(s, 1, seed)[0])
     raise ValueError(f"unknown defuzzification method {method!r}")
 
 
-def born_sample_many(s: FuzzyQubitState, draws: int, seed: int | None = None) -> np.ndarray:
-    """Vector of outcomes from one seeded stream (see ``defuzzify``)."""
+def born_sample_many(s: FiniteFuzzySet, draws: int, seed: int | None = None) -> np.ndarray:
+    """Vector of outcome indices from one seeded stream (see ``defuzzify``)."""
     if not 1 <= draws <= MAX_DRAWS:
         raise ValueError(f"draws must be in 1..{MAX_DRAWS}, got {draws}")
-    total = s.mu0 + s.mu1
+    g = s.grades
+    total = g.sum()
     if total <= 0.0:
         raise ValueError("cannot sample from an identically zero fuzzy state")
     rng = np.random.default_rng(seed)
-    return (rng.random(int(draws)) >= s.mu0 / total).astype(np.int64)
+    # outcome i where the uniform draw lies in [edge i-1, edge i)
+    return np.digitize(rng.random(int(draws)), np.cumsum(g)[:-1] / total)
 
 
-def tensor_product(a: QubitState, b: QubitState) -> TwoQubitState:
-    return TwoQubitState(
-        (a.a0 * b.a0, a.a0 * b.a1, a.a1 * b.a0, a.a1 * b.a1)
-    )
+def tensor_product(a: Register, b: Register) -> Register:
+    return Register(tuple(x * y for x in a.amplitudes for y in b.amplitudes))
 
 
-def bell_state() -> TwoQubitState:
+def bell_state() -> Register:
     """(|00> + |11>) / sqrt(2)."""
-    return TwoQubitState((1.0 / SQRT2, 0.0, 0.0, 1.0 / SQRT2))
+    return Register((1.0 / SQRT2, 0.0, 0.0, 1.0 / SQRT2))
 
 
-def amplitude_determinant(s: TwoQubitState) -> complex:
+def amplitude_determinant(s: Register) -> complex:
     """Determinant of the 2x2 amplitude matrix [[c00, c01], [c10, c11]].
 
     Zero exactly when the state factors as a tensor product of one-qubit
     states; its magnitude is a quantitative entanglement witness.
     """
-    c00, c01, c10, c11 = s.amplitudes
+    c00, c01, c10, c11 = _amplitudes(s, 2)
     return c00 * c11 - c01 * c10
 
 
-def is_entangled(s: TwoQubitState, tol: float = 1e-10) -> bool:
+def is_entangled(s: Register, tol: float = 1e-10) -> bool:
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     return abs(amplitude_determinant(s)) > tol
 
 
-def parse_state_literal(text: str) -> QubitState | TwoQubitState:
+def parse_state_literal(text: str) -> Register:
     """Parse a state literal: ``|0>``, ``|1>``, ``bell``, or ``amp`` followed
     by comma-separated re,im pairs (2 pairs for one qubit, 4 for two)."""
     spec = text.strip()
@@ -198,20 +200,18 @@ def parse_state_literal(text: str) -> QubitState | TwoQubitState:
             nums = [float(p) for p in body.split(",")]
         except ValueError:
             raise ValueError(f"cannot parse amplitude list {body!r}") from None
-        if len(nums) == 4:
-            return QubitState(*_complex_pairs(nums))
-        if len(nums) == 8:
-            return TwoQubitState(tuple(_complex_pairs(nums)))
-        raise ValueError(
-            f"amp literal needs 2 or 4 re,im pairs, got {len(nums)} numbers"
-        )
+        if len(nums) not in (4, 8):
+            raise ValueError(
+                f"amp literal needs 2 or 4 re,im pairs, got {len(nums)} numbers"
+            )
+        return Register(_complex_pairs(nums))
     raise ValueError(f"unknown state literal {text!r}")
 
 
 _GATES = {"H": apply_hadamard, "X": apply_pauli_x, "Z": apply_pauli_z}
 
 
-def apply_gates(state: QubitState, gates: Iterable[str]) -> QubitState:
+def apply_gates(state: Register, gates: Iterable[str]) -> Register:
     """Apply gate literals in order: ``H``, ``X``, ``Z``, or ``u:`` followed
     by 8 comma-separated numbers, re,im per entry of a 2x2 unitary,
     row-major.  Each gate is parsed and applied before the next is read."""

@@ -11,7 +11,7 @@ from vagueq import (
     GridFunction,
     IntervalSet,
     MeasureSpec,
-    QubitState,
+    Register,
     alpha_cut,
     ket0,
     measure_of,
@@ -334,7 +334,7 @@ def issubset(a: IntervalSet, b: IntervalSet) -> bool:
     return union_all([a, b]) == IntervalSet.from_pairs(b.intervals)
 
 
-def random_qubit_state(rng: np.random.Generator) -> QubitState:
+def random_qubit_state(rng: np.random.Generator) -> Register:
     """Haar-ish random normalized state, for tests and demos."""
     parts = rng.normal(size=4)
     z0 = complex(parts[0], parts[1])
@@ -342,4 +342,10 @@ def random_qubit_state(rng: np.random.Generator) -> QubitState:
     norm = math.sqrt(abs(z0) ** 2 + abs(z1) ** 2)
     if norm == 0.0:
         return ket0()
-    return QubitState(z0 / norm, z1 / norm)
+    return Register((z0 / norm, z1 / norm))
+
+
+def born_bernoulli_oracle(mu0: float, mu1: float, draws: int, seed: int) -> np.ndarray:
+    """The two-outcome Born draw as a threshold on one seeded stream: outcome
+    1 wherever the uniform draw is at least mu0 / (mu0 + mu1)."""
+    return (np.random.default_rng(seed).random(draws) >= mu0 / (mu0 + mu1)).astype(np.int64)

@@ -17,7 +17,6 @@ import pytest
 
 from vagueq import (
     FiniteFuzzySet,
-    FuzzyQubitState,
     GridFunction,
     IntervalSet,
     MeasureSpec,
@@ -227,19 +226,20 @@ def test_accept_06_quantum_identities():
     inv = 1.0 / math.sqrt(2.0)
     h0 = apply_hadamard(ket0())
     h1 = apply_hadamard(ket1())
-    assert abs(h0.a0 - inv) <= 1e-12 and abs(h0.a1 - inv) <= 1e-12
-    assert abs(h1.a0 - inv) <= 1e-12 and abs(h1.a1 + inv) <= 1e-12
+    (h00, h01), (h10, h11) = h0.amplitudes, h1.amplitudes
+    assert abs(h00 - inv) <= 1e-12 and abs(h01 - inv) <= 1e-12
+    assert abs(h10 - inv) <= 1e-12 and abs(h11 + inv) <= 1e-12
 
     rng = np.random.default_rng(577215)
     worst = 0.0
     for _ in range(1000):
         s = random_qubit_state(rng)
         back = apply_hadamard(apply_hadamard(s))
-        worst = max(worst, abs(back.a0 - s.a0), abs(back.a1 - s.a1))
+        worst = max(worst, *(abs(b - a) for b, a in zip(back.amplitudes, s.amplitudes)))
     assert worst <= 1e-12, f"H twice drifted by {worst}"
 
     f = fuzzify(h0)
-    assert abs(f.mu0 - 0.5) <= 1e-12 and abs(f.mu1 - 0.5) <= 1e-12
+    assert f.universe == ("0", "1") and np.all(np.abs(f.grades - 0.5) <= 1e-12)
     report(
         "quantum identities",
         f"H on basis states matches closed form; H twice = identity "
@@ -267,7 +267,7 @@ def test_accept_07_entanglement_detector():
 
 
 def test_accept_08_born_sampling():
-    outcomes = born_sample_many(FuzzyQubitState(0.5, 0.5), 100000, seed=0)
+    outcomes = born_sample_many(FiniteFuzzySet(("0", "1"), [0.5, 0.5]), 100000, seed=0)
     freq0 = float(np.mean(outcomes == 0))
     assert 0.494 <= freq0 <= 0.506, f"frequency of outcome 0 was {freq0}"
     report("born sampling", f"100000 seeded draws, frequency of 0 = {freq0:.5f}")

@@ -12,7 +12,6 @@ from vagueq import (
     IntervalSet,
     MeasureSpec,
     alpha_cut,
-    alpha_cut_finite,
     grid_tolerance,
     measure_of,
     sugeno_integral,
@@ -139,13 +138,6 @@ def test_cut_within_an_event_is_the_full_cut_intersected_with_it():
 def test_cut_rejects_negative_alpha():
     with pytest.raises(ValueError, match="alpha"):
         alpha_cut(triangle(), -0.1)
-
-
-def test_finite_cut_thresholds_grades():
-    f = FiniteFuzzySet(("x1", "x2", "x3"), [0.2, 0.5, 0.9])
-    assert alpha_cut_finite(f, 0.5).cut == frozenset({"x2", "x3"})
-    assert alpha_cut_finite(f, 0.5, strict=True).cut == frozenset({"x3"})
-    assert alpha_cut_finite(f, 0.0).cut == frozenset({"x1", "x2", "x3"})
 
 
 # --- Lebesgue quadrature ------------------------------------------------------

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from vagueq import (
-    FuzzyQubitState,
-    QubitState,
-    TwoQubitState,
+    FiniteFuzzySet,
+    MeasureSpec,
+    Register,
     amplitude_determinant,
     apply_gates,
     apply_hadamard,
@@ -14,6 +14,7 @@ from vagueq import (
     apply_pauli_z,
     apply_unitary,
     bell_state,
+    born_compatible,
     born_sample_many,
     defuzzify,
     fuzzify,
@@ -21,47 +22,72 @@ from vagueq import (
     ket0,
     ket1,
     parse_state_literal,
+    sugeno_integral,
     tensor_product,
 )
 from vagueq.qubits import MAX_DRAWS
 
-from oracles import random_qubit_state
+from oracles import born_bernoulli_oracle, random_qubit_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+TWO_QUBIT_LABELS = ("00", "01", "10", "11")
 
 
-def assert_state(s: QubitState, a0: complex, a1: complex, tol=1e-12):
-    assert abs(s.a0 - a0) <= tol
-    assert abs(s.a1 - a1) <= tol
+def fuzzy(mu0: float, mu1: float) -> FiniteFuzzySet:
+    """A one-qubit fuzzy state: grades of the outcomes "0" and "1"."""
+    return FiniteFuzzySet(("0", "1"), [mu0, mu1])
+
+
+def assert_state(s: Register, a0: complex, a1: complex, tol=1e-12):
+    b0, b1 = s.amplitudes
+    assert abs(b0 - a0) <= tol
+    assert abs(b1 - a1) <= tol
+
+
+def norm_sq(s: Register) -> float:
+    return sum(abs(z) ** 2 for z in s.amplitudes)
 
 
 # --- state validation -----------------------------------------------------------
 
 def test_states_must_be_normalized():
-    QubitState(INV_SQRT2, INV_SQRT2)
+    s = Register((INV_SQRT2, INV_SQRT2))
+    assert (s.qubits, s.labels) == (1, ("0", "1"))
     with pytest.raises(ValueError, match="norm"):
-        QubitState(1.0, 1.0)
+        Register((1.0, 1.0))
     with pytest.raises(ValueError, match="finite"):
-        QubitState(float("nan"), 0.0)
+        Register((float("nan"), 0.0))
     with pytest.raises(ValueError, match="norm"):
-        TwoQubitState((1.0, 1.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="4 amplitudes"):
-        TwoQubitState((1.0, 0.0, 0.0))
+        Register((1.0, 1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="2 or 4 amplitudes"):
+        Register((1.0, 0.0, 0.0))
+    assert (bell_state().qubits, bell_state().labels) == (2, TWO_QUBIT_LABELS)
 
 
 def test_norm_slack_admits_roundoff():
-    QubitState(math.sqrt(1.0 + 5e-10), 0.0)
+    Register((math.sqrt(1.0 + 5e-10), 0.0))
 
 
 def test_fuzzy_states_accept_unnormalized_grades():
-    s = FuzzyQubitState(0.8, 0.5)
-    assert (s.mu0, s.mu1) == (0.8, 0.5)
-    assert not s.born_compatible
-    assert FuzzyQubitState(0.5, 0.5).born_compatible
+    s = fuzzy(0.8, 0.5)
+    assert s.grades.tolist() == [0.8, 0.5]
+    assert not born_compatible(s)
+    assert born_compatible(fuzzy(0.5, 0.5))
     with pytest.raises(ValueError):
-        FuzzyQubitState(1.2, 0.1)
+        fuzzy(1.2, 0.1)
     with pytest.raises(ValueError):
-        FuzzyQubitState(-0.1, 0.0)
+        fuzzy(-0.1, 0.0)
+
+
+def test_registers_of_the_wrong_size_are_refused():
+    for gate in (apply_hadamard, apply_pauli_x, apply_pauli_z,
+                 lambda s: apply_unitary(s, np.eye(2)), lambda s: apply_gates(s, ["H"])):
+        with pytest.raises(ValueError, match="expected a 1-qubit register, got 2 qubits"):
+            gate(bell_state())
+    with pytest.raises(ValueError, match="expected a 2-qubit register, got 1 qubits"):
+        amplitude_determinant(ket0())
+    with pytest.raises(ValueError, match="2 or 4 amplitudes"):
+        tensor_product(bell_state(), ket0())
 
 
 # --- gates ------------------------------------------------------------------------
@@ -76,8 +102,7 @@ def test_hadamard_is_an_involution():
     for _ in range(1000):
         s = random_qubit_state(rng)
         back = apply_hadamard(apply_hadamard(s))
-        assert abs(back.a0 - s.a0) <= 1e-12
-        assert abs(back.a1 - s.a1) <= 1e-12
+        assert_state(back, *s.amplitudes)
 
 
 def test_hadamard_preserves_norm():
@@ -85,13 +110,13 @@ def test_hadamard_preserves_norm():
     for _ in range(1000):
         s = random_qubit_state(rng)
         t = apply_hadamard(s)
-        assert abs(abs(t.a0) ** 2 + abs(t.a1) ** 2 - 1.0) <= 1e-12
+        assert abs(norm_sq(t) - 1.0) <= 1e-12
 
 
 def test_pauli_gates():
     assert_state(apply_pauli_x(ket0()), 0.0, 1.0)
     assert_state(apply_pauli_x(ket1()), 1.0, 0.0)
-    s = QubitState(INV_SQRT2, INV_SQRT2)
+    s = Register((INV_SQRT2, INV_SQRT2))
     assert_state(apply_pauli_z(s), INV_SQRT2, -INV_SQRT2)
 
 
@@ -102,8 +127,7 @@ def test_numeric_unitary_matches_named_gates():
         s = random_qubit_state(rng)
         via_matrix = apply_unitary(s, h)
         direct = apply_hadamard(s)
-        assert abs(via_matrix.a0 - direct.a0) <= 1e-12
-        assert abs(via_matrix.a1 - direct.a1) <= 1e-12
+        assert_state(via_matrix, *direct.amplitudes)
 
 
 def test_gate_literals_apply_the_gates_bit_for_bit():
@@ -147,38 +171,42 @@ def test_non_unitary_matrices_are_rejected():
 # --- fuzzification -----------------------------------------------------------------
 
 def test_fuzzify_squares_amplitudes():
-    assert fuzzify(ket0()) == FuzzyQubitState(1.0, 0.0)
+    assert fuzzify(ket0()) == fuzzy(1.0, 0.0)
     plus = apply_hadamard(ket0())
     f = fuzzify(plus)
-    assert abs(f.mu0 - 0.5) <= 1e-12
-    assert abs(f.mu1 - 0.5) <= 1e-12
+    assert np.all(np.abs(f.grades - 0.5) <= 1e-12)
+    # each grade in Python floats: numpy's complex abs rounds differently
+    rng = np.random.default_rng(51)
+    for _ in range(1000):
+        s = random_qubit_state(rng)
+        assert fuzzify(s).grades.tolist() == [min(abs(z) ** 2, 1.0) for z in s.amplitudes]
 
 
 def test_equal_superposition_means_equal_partial_membership():
     # the half-and-half state carries grade 0.5 in each outcome: partial
     # membership in both, full membership in neither
-    cat = QubitState(INV_SQRT2, INV_SQRT2)
+    cat = Register((INV_SQRT2, INV_SQRT2))
     f = fuzzify(cat)
-    assert abs(f.mu0 - 0.5) <= 1e-12
-    assert abs(f.mu1 - 0.5) <= 1e-12
-    assert f.born_compatible
+    assert np.all(np.abs(f.grades - 0.5) <= 1e-12)
+    assert born_compatible(f)
 
 
 def test_fuzzified_physical_states_are_born_compatible():
     rng = np.random.default_rng(45)
     for _ in range(1000):
         f = fuzzify(random_qubit_state(rng))
-        assert abs(f.mu0 + f.mu1 - 1.0) <= 1e-9
+        assert abs(f.grades.sum() - 1.0) <= 1e-9
+        assert born_compatible(f)
 
 
 # --- defuzzification ----------------------------------------------------------------
 
 def test_argmax_defuzzification():
-    assert defuzzify(FuzzyQubitState(0.9, 0.1)) == 0
-    assert defuzzify(FuzzyQubitState(0.1, 0.9)) == 1
+    assert defuzzify(fuzzy(0.9, 0.1)) == 0
+    assert defuzzify(fuzzy(0.1, 0.9)) == 1
     # documented tie rule: equal grades collapse to 0
-    assert defuzzify(FuzzyQubitState(0.5, 0.5)) == 0
-    assert defuzzify(FuzzyQubitState(0.3, 0.3 + 1e-13)) == 0
+    assert defuzzify(fuzzy(0.5, 0.5)) == 0
+    assert defuzzify(fuzzy(0.3, 0.3 + 1e-13)) == 0
 
 
 def test_argmax_is_scale_invariant():
@@ -188,13 +216,13 @@ def test_argmax_is_scale_invariant():
         if abs(mu0 - mu1) <= 1e-9:
             continue
         scale = rng.uniform(0.05, 1.0) / max(mu0, mu1)
-        a = defuzzify(FuzzyQubitState(mu0, mu1))
-        b = defuzzify(FuzzyQubitState(mu0 * scale, mu1 * scale))
+        a = defuzzify(fuzzy(mu0, mu1))
+        b = defuzzify(fuzzy(mu0 * scale, mu1 * scale))
         assert a == b
 
 
 def test_born_sampling_is_seed_deterministic():
-    s = FuzzyQubitState(0.5, 0.5)
+    s = fuzzy(0.5, 0.5)
     outcomes = {defuzzify(s, "born_sample", seed=k) for k in range(64)}
     assert outcomes == {0, 1}
     for k in range(16):
@@ -204,43 +232,60 @@ def test_born_sampling_is_seed_deterministic():
 
 
 def test_born_sampling_matches_the_stream_head():
-    s = FuzzyQubitState(0.3, 0.6)
+    s = fuzzy(0.3, 0.6)
     for seed in range(16):
         assert defuzzify(s, "born_sample", seed=seed) == int(
             born_sample_many(s, 5, seed=seed)[0]
+        )
+    # seeded draws keep their bits: the two-outcome threshold on one stream,
+    # with zero grades, equal grades and grades 1e-13 apart among the cases
+    rng = np.random.default_rng(49)
+    for case in range(2000):
+        mu0, mu1 = rng.random(2)
+        kind = case % 5
+        if kind == 1:
+            mu0, mu1 = (0.0, mu1) if case % 2 else (mu0, 0.0)
+        elif kind == 2:
+            mu1 = mu0
+        elif kind == 3:
+            mu1 = min(mu0 + 1e-13, 1.0)
+        draws, seed = int(rng.integers(1, 200)), int(rng.integers(0, 2**32))
+        got = born_sample_many(fuzzy(mu0, mu1), draws, seed=seed)
+        assert np.array_equal(got, born_bernoulli_oracle(mu0, mu1, draws, seed)), (
+            mu0, mu1, draws, seed
         )
 
 
 def test_born_sampling_normalizes_grades():
     # unnormalized (0.2, 0.2) samples like (0.5, 0.5)
-    a = born_sample_many(FuzzyQubitState(0.2, 0.2), 1000, seed=9)
-    b = born_sample_many(FuzzyQubitState(0.5, 0.5), 1000, seed=9)
+    a = born_sample_many(fuzzy(0.2, 0.2), 1000, seed=9)
+    b = born_sample_many(fuzzy(0.5, 0.5), 1000, seed=9)
     assert np.array_equal(a, b)
 
 
 def test_born_frequency_near_one_half():
-    draws = born_sample_many(FuzzyQubitState(0.5, 0.5), 100000, seed=0)
+    draws = born_sample_many(fuzzy(0.5, 0.5), 100000, seed=0)
     freq0 = float(np.mean(draws == 0))
     assert 0.494 <= freq0 <= 0.506
 
 
 def test_degenerate_sampling_is_an_error():
-    zero = FuzzyQubitState(0.0, 0.0)
+    zero = fuzzy(0.0, 0.0)
     with pytest.raises(ValueError, match="zero"):
         defuzzify(zero, "born_sample", seed=1)
     with pytest.raises(ValueError, match="zero"):
         born_sample_many(zero, 10, seed=1)
     with pytest.raises(ValueError, match="draws"):
-        born_sample_many(FuzzyQubitState(0.5, 0.5), 0, seed=1)
+        born_sample_many(fuzzy(0.5, 0.5), 0, seed=1)
     with pytest.raises(ValueError, match="draws"):
-        born_sample_many(FuzzyQubitState(0.5, 0.5), MAX_DRAWS + 1, seed=1)
+        born_sample_many(fuzzy(0.5, 0.5), MAX_DRAWS + 1, seed=1)
     with pytest.raises(ValueError, match="method"):
-        defuzzify(FuzzyQubitState(0.5, 0.5), "centroid")
+        defuzzify(fuzzy(0.5, 0.5), "centroid")
 
 
 def test_sure_outcomes_sample_deterministically():
-    assert np.all(born_sample_many(FuzzyQubitState(1.0, 0.0), 100, seed=3) == 0)
-    assert np.all(born_sample_many(FuzzyQubitState(0.0, 1.0), 100, seed=3) == 1)
+    assert np.all(born_sample_many(fuzzy(1.0, 0.0), 100, seed=3) == 0)
+    assert np.all(born_sample_many(fuzzy(0.0, 1.0), 100, seed=3) == 1)
 
 
 # --- two qubits -------------------------------------------------------------------
@@ -269,8 +314,43 @@ def test_product_states_are_never_flagged():
 
 
 def test_uniform_plus_state_factorizes():
-    plus_plus = TwoQubitState((0.5, 0.5, 0.5, 0.5))
+    plus_plus = Register((0.5, 0.5, 0.5, 0.5))
     assert not is_entangled(plus_plus)
+
+
+def test_bell_state_fuzzifies_to_four_labels():
+    f = fuzzify(bell_state())
+    assert f.universe == TWO_QUBIT_LABELS
+    assert np.all(np.abs(f.grades - np.array([0.5, 0.0, 0.0, 0.5])) <= 1e-12)
+    assert f.grades[1] == f.grades[2] == 0.0
+    assert defuzzify(f) == 0  # the tie between "00" and "11" goes to "00"
+    assert born_compatible(f)
+
+
+def test_fuzzify_cannot_see_relative_phase():
+    # (|00> + |01> + |10> - |11>) / 2 is entangled, |++> is a product state,
+    # yet their grades agree bit for bit; only the determinant tells them apart
+    phase = Register((0.5, 0.5, 0.5, -0.5))
+    plus_plus = Register((0.5, 0.5, 0.5, 0.5))
+    assert fuzzify(phase) == fuzzify(plus_plus)
+    assert abs(amplitude_determinant(phase)) == 0.5
+    assert abs(amplitude_determinant(plus_plus)) == 0.0
+
+
+def test_a_fuzzified_register_is_read_by_the_sugeno_integral():
+    # against a possibility measure, the Sugeno integral is max over labels
+    # of min(grade, pi), exactly
+    rng = np.random.default_rng(50)
+    for _ in range(200):
+        s = tensor_product(random_qubit_state(rng), random_qubit_state(rng))
+        if rng.random() < 0.5:  # half the time, permuted amplitudes: mostly entangled
+            s = Register(rng.permutation(np.array(s.amplitudes)).tolist())
+        pi_grades = rng.random(4)
+        pi_grades[rng.integers(4)] = 1.0
+        pi = FiniteFuzzySet(TWO_QUBIT_LABELS, pi_grades)
+        f = fuzzify(s)
+        want = max(min(g, p) for g, p in zip(f.grades.tolist(), pi_grades.tolist()))
+        assert sugeno_integral(f, None, MeasureSpec.possibilistic(pi)) == want
 
 
 def test_entanglement_tolerance_must_be_positive():
@@ -287,7 +367,7 @@ def test_state_literals():
     s = parse_state_literal("amp 0.6,0,0.8,0")
     assert_state(s, 0.6, 0.8)
     t = parse_state_literal("amp 0.5,0,0.5,0,0.5,0,0.5,0")
-    assert isinstance(t, TwoQubitState)
+    assert t == Register((0.5, 0.5, 0.5, 0.5)) and t.qubits == 2
 
 
 def test_bad_state_literals():
@@ -303,4 +383,4 @@ def test_random_states_are_normalized():
     rng = np.random.default_rng(48)
     for _ in range(100):
         s = random_qubit_state(rng)
-        assert abs(abs(s.a0) ** 2 + abs(s.a1) ** 2 - 1.0) <= 1e-12
+        assert abs(norm_sq(s) - 1.0) <= 1e-12
