@@ -33,12 +33,12 @@ def as_grade(value: float) -> float:
 
     Values outside [0, 1] by more than ``GRADE_SLACK`` are rejected; values
     within the slack are clamped, so accumulated round-off never leaks
-    out of the unit interval.
+    out of the unit interval.  A grade of -0 reads as +0.
     """
     v = float(value)
     if math.isnan(v) or v < -GRADE_SLACK or v > 1.0 + GRADE_SLACK:
         raise ValueError(f"grade {value!r} lies outside [0, 1]")
-    return min(max(v, 0.0), 1.0)
+    return min(max(v, 0.0), 1.0) + 0.0
 
 
 class TNormKind(Enum):
@@ -84,7 +84,8 @@ class FiniteFuzzySet:
         ok = (raw >= -GRADE_SLACK) & (raw <= 1.0 + GRADE_SLACK)  # False for NaN
         if not ok.all():
             raise ValueError(f"grade {float(raw[~ok][0])!r} lies outside [0, 1]")
-        vals = np.clip(raw, 0.0, 1.0)  # as as_grade does, -0.0 included
+        vals = np.clip(raw, 0.0, 1.0)
+        vals += 0.0  # as as_grade does: -0 reads as +0
         object.__setattr__(self, "universe", labels)
         object.__setattr__(self, "grades", vals)
         self.grades.setflags(write=False)

@@ -8,6 +8,7 @@ conversion to float happens only at the reporting boundary.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -50,13 +51,10 @@ class FuzzyLanguage:
         return str(word)
 
     def grade_exact(self, word: str) -> Grade:
-        """Grade with whatever exact arithmetic the language carries."""
+        """Grade with whatever exact arithmetic the language carries: a
+        Fraction by the exact rule of grade tables, any other by ``as_grade``."""
         value = self.grade_fn(self._check_word(word))
-        if isinstance(value, Fraction):
-            if not 0 <= value <= 1:
-                raise ValueError(f"grade {value} for {word!r} outside [0, 1]")
-            return value
-        return as_grade(value)
+        return _table_grade(word, value) if isinstance(value, Fraction) else as_grade(value)
 
     def grade(self, word: str) -> float:
         """Grade as a float in [0, 1]."""
@@ -83,12 +81,8 @@ def language_intersection(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
 
 
 def language_complement(a: FuzzyLanguage) -> FuzzyLanguage:
-    """Pointwise 1 - grade."""
-    def complement(w: str) -> Grade:
-        v = a.grade_fn(w)
-        return (Fraction(1) - v) if isinstance(v, Fraction) else (1.0 - v)
-
-    return FuzzyLanguage(a.alphabet, complement)
+    """Pointwise 1 - grade: exact for a Fraction, ``1.0 - v`` for a float."""
+    return FuzzyLanguage(a.alphabet, lambda w: 1 - a.grade_fn(w))
 
 
 def zeros_then_ones_grade(word: str) -> Fraction:
@@ -98,15 +92,11 @@ def zeros_then_ones_grade(word: str) -> Fraction:
     language with grade min(i, j) / max(i, j); every other word (balanced
     blocks included, since they fall outside the language) grades 0.
     """
-    i = 0
-    while i < len(word) and word[i] == "0":
-        i += 1
-    j = len(word) - i
-    if i == 0 or j == 0 or any(c != "1" for c in word[i:]):
+    blocks = re.fullmatch("(0+)(1+)", word)
+    if blocks is None:
         return Fraction(0)
-    if i == j:
-        return Fraction(0)
-    return Fraction(j, i) if i > j else Fraction(i, j)
+    i, j = (len(block) for block in blocks.groups())
+    return Fraction(min(i, j), max(i, j)) if i != j else Fraction(0)
 
 
 def zeros_then_ones_language() -> FuzzyLanguage:
@@ -115,10 +105,11 @@ def zeros_then_ones_language() -> FuzzyLanguage:
 
 
 def _table_grade(word: str, value) -> Fraction:
-    """The one grade rule of grade tables: ``value`` as an exact Fraction in
-    [0, 1], parsed from its ``str`` unless it is a Fraction already."""
+    """The one exact grade rule, of grade tables and Fraction grades alike:
+    ``value`` as an exact Fraction in [0, 1], parsed from its ``str`` (a
+    Fraction's ``str`` reads back to the same Fraction)."""
     try:
-        v = value if isinstance(value, Fraction) else Fraction(str(value))
+        v = Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse grade {value!r} for word {word!r}") from None
     if not 0 <= v <= 1:

@@ -204,8 +204,12 @@ def _density_on_window(
 def localize(
     w: WavefunctionSpec, a: float, b: float, time: float = 0.0
 ) -> LocalizationReport:
-    """Probability and possibility of finding the particle in [a, b)."""
+    """Probability and possibility of finding the particle in [a, b) at a
+    finite ``time``."""
     a, b, density, pi, pi_measure = _density_on_window(w, a, b)
+    time = float(time)
+    if not math.isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
     window = IntervalSet.interval(a, b)
     probability = density.integral_over(window)
     density_norm = density.integral_over(density.full_span())
@@ -214,7 +218,7 @@ def localize(
     return LocalizationReport(
         a=a,
         b=b,
-        time=float(time),
+        time=time,
         probability=probability,
         possibility=possibility,
         possibility_sugeno=possibility_sugeno,

@@ -337,12 +337,12 @@ class TableMeasure(MeasureSpec):
     """mu given subset by subset over a small finite universe.
 
     ``table`` maps subsets, iterables of labels of ``universe``, to values
-    at least 0.  It must be total (at most 12 labels), with mu(empty) = 0,
-    mu(universe) = 1 and monotonicity, all checked exhaustively.  The
-    measure keeps ``values``, a read-only float64 array of length 2^n: a
-    subset's value sits at its bitmask, bit i standing for ``universe[i]``.
-    Its ``table`` is the frozenset -> value map, built from ``values`` on
-    each read.
+    at least 0 (a -0 reads as +0).  It must be total (at most 12 labels),
+    with mu(empty) = 0, mu(universe) = 1 and monotonicity, all checked
+    exhaustively.  The measure keeps ``values``, a read-only float64 array
+    of length 2^n: a subset's value sits at its bitmask, bit i standing for
+    ``universe[i]``.  Its ``table`` is the frozenset -> value map, built
+    from ``values`` on each read.
     """
 
     universe: tuple[str, ...]
@@ -364,7 +364,7 @@ class TableMeasure(MeasureSpec):
             v = float(value)
             if not v >= 0.0:  # NaN too
                 _table_value(_labels_of(labels, mask), v)  # raises, naming the subset
-            given[mask] = v
+            given[mask] = v + 0.0  # -0 reads as +0
         object.__setattr__(self, "universe", labels)
         object.__setattr__(self, "_bits", bits)
         if not labels:

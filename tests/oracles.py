@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -349,3 +350,14 @@ def born_bernoulli_oracle(mu0: float, mu1: float, draws: int, seed: int) -> np.n
     """The two-outcome Born draw as a threshold on one seeded stream: outcome
     1 wherever the uniform draw is at least mu0 / (mu0 + mu1)."""
     return (np.random.default_rng(seed).random(draws) >= mu0 / (mu0 + mu1)).astype(np.int64)
+
+
+def zeros_then_ones_oracle(word: str) -> Fraction:
+    """The 0^i 1^j grade from its definition: the word is "0" * i + "1" * j
+    for some i, j >= 1 with i != j and grades min(i, j) / max(i, j), or it
+    grades 0."""
+    for i in range(1, len(word)):
+        j = len(word) - i
+        if i != j and word == "0" * i + "1" * j:
+            return Fraction(min(i, j), max(i, j))
+    return Fraction(0)

@@ -268,6 +268,24 @@ def test_measure_eval_table(capsys, tmp_path):
     assert out_lines(out)["measure"] == "0.800000000"
 
 
+def test_a_negative_zero_grade_or_table_value_prints_as_zero(capsys, tmp_path):
+    grades, table = tmp_path / "grades.txt", tmp_path / "table.txt"
+    grades.write_text("a,-0\nb,1\n", encoding="utf-8")
+    table.write_text("{},0\na,-0\nb,0.5\na|b,1\n", encoding="utf-8")
+    for argv, key in (
+        (("qubit", "--fuzzy", "-0,1"), "mu0"),
+        (("measure", "eval", "--measure", f"possibilistic:finite={grades}",
+          "--subset", "a"), "measure"),
+        (("measure", "eval", "--measure", f"table:path={table}", "--subset", "a"), "measure"),
+        (("integrate", "sugeno", "--function", f"finite:{grades}",
+          "--measure", f"possibilistic:finite={grades}", "--subset", "a"), "sugeno"),
+        (("fuzzy", "union", "--a", str(grades), "--b", str(grades)), "a"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out_lines(out)[key] == "0.000000000", argv
+
+
 def test_measure_eval_needs_exactly_one_event(capsys, pi_finite):
     code, _, err = run_cli(
         capsys, "measure", "eval", "--measure", f"possibilistic:finite={pi_finite}"
@@ -552,6 +570,16 @@ def test_localize_with_time_and_domain(capsys):
     )
     assert code == 0
     assert out_lines(out)["time"] == "-0.500000000"
+
+
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_localize_refuses_a_time_that_is_not_finite(capsys, time):
+    code, out, err = run_cli(
+        capsys, "localize", "--wavefunction", "gaussian:mu=0,sigma=1",
+        "--interval", "-1,1", "--time", time,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: time must be finite, got {time}\n"
 
 
 def test_localize_domain_only_for_gaussian(capsys):

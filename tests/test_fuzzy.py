@@ -143,6 +143,12 @@ def test_grade_of_names_an_unknown_label():
         fs(0.1, 0.2).grade_of("x3")
 
 
+def test_a_fuzzy_set_equals_no_other_kind_of_value():
+    assert fs(0.1, 0.2) == fs(0.1, 0.2)
+    assert not fs(0.1, 0.2) == "x"
+    assert fs(0.1, 0.2) != 1
+
+
 def test_vectorized_grades_match_the_as_grade_loop_bit_for_bit():
     rng = np.random.default_rng(5)
     edges = np.array([0.0, -0.0, 1.0, 1e-300, -1e-300, -1e-12, 1.0 + 1e-12,
@@ -155,7 +161,8 @@ def test_vectorized_grades_match_the_as_grade_loop_bit_for_bit():
             loop = np.array([as_grade(v) for v in raw])
             got = FiniteFuzzySet(tuple(f"x{i}" for i in range(n)), raw).grades
             assert got.tobytes() == loop.tobytes()
-    assert np.signbit(fs(-0.0).grades[0])
+    assert not np.signbit(fs(-0.0).grades[0])  # -0 reads as +0
+    assert not np.signbit(as_grade(-0.0))
 
 
 def test_bad_grade_is_named_as_a_plain_float():

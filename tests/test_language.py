@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from vagueq import (
     zeros_then_ones_grade,
     zeros_then_ones_language,
 )
+
+from oracles import zeros_then_ones_oracle
 
 
 # --- the built-in zeros-then-ones language -----------------------------------
@@ -41,6 +44,14 @@ def test_closed_form_over_all_small_blocks():
                 continue
             word = "0" * i + "1" * j
             assert lang.grade_exact(word) == Fraction(min(i, j), max(i, j))
+
+
+def test_every_short_binary_word_grades_as_the_definition_says():
+    for n in range(13):
+        for symbols in product("01", repeat=n):
+            word = "".join(symbols)
+            got, want = zeros_then_ones_grade(word), zeros_then_ones_oracle(word)
+            assert (type(got), got) == (Fraction, want), word
 
 
 def test_grades_are_exact_rationals():
@@ -100,6 +111,21 @@ def test_combinator_grades_are_ordered():
         assert 0 <= both.grade_exact(word) <= either.grade_exact(word) <= 1
 
 
+def test_complement_is_one_minus_the_grade_in_the_grade_type():
+    rng = np.random.default_rng(27)
+    floats = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, *rng.random(2000).tolist()]
+    fractions = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7)]
+    for v in floats + fractions:
+        comp = language_complement(FuzzyLanguage(("0",), lambda w: v))
+        got = comp.grade_fn("0")
+        if isinstance(v, Fraction):
+            assert (type(got), got) == (Fraction, Fraction(1) - v)
+            assert comp.grade_exact("0") == Fraction(1) - v
+        else:
+            assert (type(got), got.hex()) == (float, (1.0 - v).hex())
+            assert comp.grade("0").hex() == (1.0 - v).hex()
+
+
 def test_double_complement_is_exact_in_rationals():
     lang = zeros_then_ones_language()
     back = language_complement(language_complement(lang))
@@ -123,7 +149,7 @@ def test_grades_from_custom_rules_are_validated():
     with pytest.raises(ValueError):
         bad_float.grade("0")
     bad_fraction = FuzzyLanguage(("0",), lambda w: Fraction(3, 2))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"^grade 3/2 for word '0' outside \[0, 1\]$"):
         bad_fraction.grade("0")
 
 

@@ -95,6 +95,10 @@ def test_table_measure_accepts_monotone_total_table():
     # monotonicity holds to within 1e-12
     m = MeasureSpec.from_table(("a", "b"), _table_2() | {("a",): 1.0 + 5e-13})
     assert measure_of(m, ["a"]) == 1.0 + 5e-13
+    # a value of -0 reads as +0
+    m = MeasureSpec.from_table(("a", "b"), _table_2() | {(): -0.0, ("a",): -0.0})
+    assert not np.signbit(m.values).any()
+    assert not np.signbit(measure_of(m, ["a"]))
 
 
 def test_table_measure_rejects_non_monotone():
